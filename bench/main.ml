@@ -29,11 +29,13 @@
                throughput, certificate bytes per program statement
      SERVER    the certification daemon: concurrent clients over a Unix
                socket, shared-cache hit rate and latency quantiles
+     CLASSES   security classes as printed names: ns and words per
+               leq/join/meet, lattice rendering, CFM over string classes
      micro     Bechamel micro-benchmarks of every analysis entry point
 
    Usage: dune exec bench/main.exe [-- SECTION ...]
    Sections: tables fig3 theorems strength scaling ni pipeline store
-   modsys fuzz lint cert server micro all
+   modsys fuzz lint cert server classes micro all
    (default all). Add "quick" to shrink corpus and sweep sizes.
 
    Besides the human tables, every section prints one or more
@@ -1432,6 +1434,99 @@ let modsys_bench ~sizes ~modules () =
   rm_rf dir
 
 (* ------------------------------------------------------------------ *)
+(* CLASSES: security classes as printed names. The CLI, the daemon, fuzz
+   campaigns and certificates all run over [Lattice.stringify]d schemes,
+   so every class operation and every rendering of a job's lattice goes
+   through that representation. *)
+
+let classes_bench ~programs () =
+  banner "CLASSES: operations on string classes (Lattice.stringify)";
+  (* ns (median of 5 timed passes) and minor-heap words per call of [op]
+     over every ordered pair of classes. *)
+  let per_op (elts : string array) op =
+    let n = Array.length elts in
+    let reps = max 1 (1_000_000 / (n * n)) in
+    let ops = float_of_int (reps * n * n) in
+    let pass () =
+      for _ = 1 to reps do
+        for i = 0 to n - 1 do
+          for j = 0 to n - 1 do
+            ignore (Sys.opaque_identity (op elts.(i) elts.(j)))
+          done
+        done
+      done
+    in
+    let w0 = Gc.minor_words () in
+    pass ();
+    let words = (Gc.minor_words () -. w0) /. ops in
+    (1e9 *. time_one pass /. ops, words)
+  in
+  let lattices =
+    [ ("two", Lattice.stringify two); ("mls", Lattice.stringify Mls.standard) ]
+  in
+  Fmt.pr "%-6s %-6s %10s %10s@." "scheme" "op" "ns/op" "words/op";
+  List.iter
+    (fun (name, (l : string Lattice.t)) ->
+      let elts = Array.of_list l.Lattice.elements in
+      let row op_name (ns, words) =
+        Fmt.pr "%-6s %-6s %10.1f %10.2f@." name op_name ns words;
+        metric_f "classes" (Printf.sprintf "%s_%s_ns" name op_name) ns;
+        metric_f "classes" (Printf.sprintf "%s_%s_words" name op_name) words
+      in
+      row "leq" (per_op elts l.Lattice.leq);
+      row "join" (per_op elts l.Lattice.join);
+      row "meet" (per_op elts l.Lattice.meet))
+    lattices;
+  (* Rendering the lattice into a job's digest payload. *)
+  let mls = List.assoc "mls" lattices in
+  let renders = 50 in
+  let to_text_us =
+    1e6
+    *. time_one (fun () ->
+           for _ = 1 to renders do
+             ignore (Sys.opaque_identity (Ifc_lattice.Spec.to_text mls))
+           done)
+    /. float_of_int renders
+  in
+  Fmt.pr "Spec.to_text on mls: %.1f us@." to_text_us;
+  metric_f "classes" "mls_to_text_us" to_text_us;
+  (* CFM over string classes on one fixed generated program set. Even
+     programs get the least binding that certifies them with one
+     variable held at top, odd ones a random binding, which CFM almost
+     always rejects. *)
+  List.iter
+    (fun (name, lat) ->
+      let rng = Prng.create 13 in
+      let cases =
+        List.init programs (fun i ->
+            let p = Gen.program rng Gen.default ~size:200 in
+            let b =
+              if i mod 2 = 1 then random_binding rng lat p.Ast.body
+              else
+                let v = Sset.choose (Ifc_lang.Vars.all_vars p.Ast.body) in
+                match Infer.infer lat ~fixed:[ (v, lat.Lattice.top) ] p with
+                | Ok b -> b
+                | Error _ -> invalid_arg "classes: inference failed"
+            in
+            (b, p.Ast.body))
+      in
+      let certified =
+        List.length (List.filter (fun (b, body) -> Cfm.certified b body) cases)
+      in
+      let ms =
+        1e3
+        *. time_one (fun () ->
+               List.iter
+                 (fun (b, body) -> ignore (Sys.opaque_identity (Cfm.certified b body)))
+                 cases)
+      in
+      Fmt.pr "CFM over %d %s programs (size 200): %.2f ms, %d certified@." programs
+        name ms certified;
+      metric_f "classes" (name ^ "_cfm_ms") ms;
+      metric_i "classes" (name ^ "_cfm_certified") certified)
+    lattices
+
+(* ------------------------------------------------------------------ *)
 (* Micro-benchmarks (Bechamel). *)
 
 let micro () =
@@ -1516,7 +1611,7 @@ let () =
     | [] | [ "all" ] ->
       [ "tables"; "fig3"; "theorems"; "strength"; "ablation"; "por"; "scaling";
         "ni"; "pipeline"; "store"; "modsys"; "fuzz"; "lint"; "dataflow";
-        "chan"; "cert"; "server"; "load"; "micro" ]
+        "chan"; "cert"; "server"; "load"; "classes"; "micro" ]
     | s -> s
   in
   let corpus = if quick then 100 else 400 in
@@ -1556,6 +1651,7 @@ let () =
           (if quick then [ (64, 4, 20) ]
            else [ (64, 8, 50); (1000, 4, 10) ])
         ()
+    | "classes" -> classes_bench ~programs:20 ()
     | "micro" -> micro ()
     | other -> Fmt.epr "unknown section %S@." other
   in

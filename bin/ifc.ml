@@ -9,9 +9,8 @@
    ([gen]) and a reference card ([rules]). *)
 
 module Lattice = Ifc_lattice.Lattice
-module Chain = Ifc_lattice.Chain
-module Mls = Ifc_lattice.Mls
 module Spec = Ifc_lattice.Spec
+module Builtin = Ifc_lattice.Builtin
 module Laws = Ifc_lattice.Laws
 module Ast = Ifc_lang.Ast
 module Loc = Ifc_lang.Loc
@@ -85,16 +84,14 @@ let load_program path =
 
 (* Built-in schemes are exposed with string elements so every command
    works uniformly over any of them or over a parsed spec file. *)
-let load_lattice = function
-  | "two" -> Ok (Lattice.stringify Chain.two)
-  | "three" -> Ok (Lattice.stringify Chain.three)
-  | "four" -> Ok (Lattice.stringify Chain.four)
-  | "mls" -> Ok (Lattice.stringify Mls.standard)
-  | path when Sys.file_exists path -> Spec.parse_file path
-  | other ->
+let load_lattice name =
+  match Builtin.find name with
+  | Some l -> Ok l
+  | None when Sys.file_exists name -> Spec.parse_file name
+  | None ->
     Error
       (Printf.sprintf
-         "unknown lattice %S (use two, three, four, mls, or a spec file path)" other)
+         "unknown lattice %S (use two, three, four, mls, or a spec file path)" name)
 
 let load_linked path =
   let* src = read_file path in

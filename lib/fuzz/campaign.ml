@@ -7,7 +7,6 @@ module Pretty = Ifc_lang.Pretty
 module Vars = Ifc_lang.Vars
 module Wellformed = Ifc_lang.Wellformed
 module Binding = Ifc_core.Binding
-module Chain = Ifc_lattice.Chain
 module Lattice = Ifc_lattice.Lattice
 module Sset = Ifc_support.Sset
 module Prng = Ifc_support.Prng
@@ -64,7 +63,7 @@ let default =
 (* The campaign lattice. All fuzzing runs over the paper's two-point
    scheme: it is where every known analyzer disagreement already shows,
    and a single scheme keeps oracle budgets predictable. *)
-let lattice = Lattice.stringify Chain.two
+let lattice = Ifc_lattice.Builtin.two
 
 let lattice_name = "two"
 

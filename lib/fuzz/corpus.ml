@@ -5,9 +5,6 @@ module Pretty = Ifc_lang.Pretty
 module Parser = Ifc_lang.Parser
 module Metrics = Ifc_lang.Metrics
 module Binding = Ifc_core.Binding
-module Lattice = Ifc_lattice.Lattice
-module Chain = Ifc_lattice.Chain
-module Mls = Ifc_lattice.Mls
 
 type expected = {
   cls : string;
@@ -37,12 +34,10 @@ type entry = {
   note : string option;
 }
 
-let lattice_of_name = function
-  | "two" -> Ok (Lattice.stringify Chain.two)
-  | "three" -> Ok (Lattice.stringify Chain.three)
-  | "four" -> Ok (Lattice.stringify Chain.four)
-  | "mls" -> Ok (Lattice.stringify Mls.standard)
-  | other -> Error (Printf.sprintf "unknown corpus lattice %S" other)
+let lattice_of_name name =
+  match Ifc_lattice.Builtin.find name with
+  | Some l -> Ok l
+  | None -> Error (Printf.sprintf "unknown corpus lattice %S" name)
 
 (* Canonical replay parameters. Sidecars are written and replayed with the
    same oracle seed / pair count / state budget, so the [interfering] field

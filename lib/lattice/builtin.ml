@@ -1,0 +1,13 @@
+(* The built-in schemes with string classes, built once at initialisation. *)
+
+let two = Lattice.stringify Chain.two
+
+let table =
+  [
+    ("two", two);
+    ("three", Lattice.stringify Chain.three);
+    ("four", Lattice.stringify Chain.four);
+    ("mls", Lattice.stringify Mls.standard);
+  ]
+
+let find name = List.assoc_opt name table

@@ -1,0 +1,14 @@
+(** The built-in classification schemes, by the names the CLI, the daemon
+    and the fuzz corpus use, with classes as printed names
+    ({!Lattice.stringify}).
+
+    Each scheme is built once, when this module initialises, and is never
+    mutated afterwards, so one value is safely shared by every request,
+    thread and domain. *)
+
+val two : string Lattice.t
+(** The two-point scheme [low < high]. *)
+
+val find : string -> string Lattice.t option
+(** [find name] is the scheme called [name]: ["two"], ["three"],
+    ["four"] ({!Chain.four}) or ["mls"] ({!Mls.standard}). *)

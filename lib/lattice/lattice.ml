@@ -27,17 +27,26 @@ let lt l x y = l.leq x y && not (l.equal x y)
 
 let comparable l x y = l.leq x y || l.leq y x
 
+(* One [leq] query per ordered pair fills the strict-order matrix; the
+   covering test then reads only the matrix. *)
 let covers l =
-  let strictly_between x y z = lt l x z && lt l z y in
-  List.concat_map
-    (fun x ->
-      List.filter_map
-        (fun y ->
-          if lt l x y && not (List.exists (strictly_between x y) l.elements)
-          then Some (x, y)
-          else None)
-        l.elements)
-    l.elements
+  let arr = Array.of_list l.elements in
+  let n = Array.length arr in
+  let strict =
+    Array.init n (fun i ->
+        Array.init n (fun j -> l.leq arr.(i) arr.(j) && not (l.equal arr.(i) arr.(j))))
+  in
+  let between i j =
+    let rec go k = k < n && ((strict.(i).(k) && strict.(k).(j)) || go (k + 1)) in
+    go 0
+  in
+  List.concat
+    (List.init n (fun i ->
+         List.filter_map
+           (fun j ->
+             if strict.(i).(j) && not (between i j) then Some (arr.(i), arr.(j))
+             else None)
+           (List.init n Fun.id)))
 
 let height l =
   (* Longest chain via memoised depth over the covering DAG. *)
@@ -82,25 +91,90 @@ let dual ?name l =
     top = l.bottom;
   }
 
+(* The lookups behind [stringify] are top-level functions over explicit
+   arrays, so an operation allocates no closure. [name_index] scans for a
+   shared name first (pointer equality), then for another string with the
+   same bytes; -1 when no element has that name. Every name a stringified
+   scheme hands out is shared, so the pointer pass is the common case; a
+   single [String.equal] scan (a C call per element) made [leq] on [mls]
+   about twice as slow. *)
+let name_index names s =
+  let n = Array.length names in
+  let i = ref 0 in
+  while !i < n && not (names.(!i) == s) do incr i done;
+  if !i < n then !i
+  else begin
+    i := 0;
+    while !i < n && not (String.equal names.(!i) s) do incr i done;
+    if !i < n then !i else -1
+  end
+
+(* Binary search of [x] among [natives] visited in [order], which sorts
+   them by [compare]; the index into [natives], or -1. *)
+let native_index compare natives order x =
+  let lo = ref 0 and hi = ref (Array.length order) and found = ref (-1) in
+  while !found < 0 && !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let c = compare x natives.(order.(mid)) in
+    if c = 0 then found := order.(mid) else if c < 0 then hi := mid else lo := mid + 1
+  done;
+  !found
+
 let stringify l =
-  let parse s =
-    match l.of_string s with
-    | Ok x -> x
-    | Error msg -> invalid_arg ("Lattice.stringify: " ^ msg)
+  let natives = Array.of_list l.elements in
+  let names = Array.map l.to_string natives in
+  let order = Array.init (Array.length natives) Fun.id in
+  Array.stable_sort (fun i j -> l.compare natives.(i) natives.(j)) order;
+  let slot x =
+    match native_index l.compare natives order x with
+    | -1 ->
+      invalid_arg
+        (Printf.sprintf "Lattice.stringify: %s: %s is not an element" l.name
+           (l.to_string x))
+    | i -> i
+  in
+  let find s =
+    match name_index names s with
+    | -1 -> (
+      match l.of_string s with
+      | Ok x -> slot x
+      | Error msg -> invalid_arg ("Lattice.stringify: " ^ msg))
+    | i -> i
+  in
+  (* Comparable operands are the common case; their join or meet is one
+     of them, so the native operation and its search are skipped. *)
+  let join a b =
+    let i = find a in
+    let j = find b in
+    let x = natives.(i) and y = natives.(j) in
+    if l.leq x y then names.(j)
+    else if l.leq y x then names.(i)
+    else names.(slot (l.join x y))
+  in
+  let meet a b =
+    let i = find a in
+    let j = find b in
+    let x = natives.(i) and y = natives.(j) in
+    if l.leq x y then names.(i)
+    else if l.leq y x then names.(j)
+    else names.(slot (l.meet x y))
   in
   {
     name = l.name;
-    elements = List.map l.to_string l.elements;
+    elements = Array.to_list names;
     equal = String.equal;
     compare = String.compare;
-    leq = (fun a b -> l.leq (parse a) (parse b));
-    join = (fun a b -> l.to_string (l.join (parse a) (parse b)));
-    meet = (fun a b -> l.to_string (l.meet (parse a) (parse b)));
-    bottom = l.to_string l.bottom;
-    top = l.to_string l.top;
+    leq = (fun a b -> l.leq natives.(find a) natives.(find b));
+    join;
+    meet;
+    bottom = names.(slot l.bottom);
+    top = names.(slot l.top);
     to_string = Fun.id;
     of_string =
-      (fun s -> Result.map l.to_string (l.of_string s));
+      (fun s ->
+        match name_index names s with
+        | -1 -> Result.map (fun x -> names.(slot x)) (l.of_string s)
+        | i -> Ok names.(i));
   }
 
 (* Build a lattice from an explicit order by searching for lubs/glbs.

@@ -44,7 +44,13 @@ val comparable : 'a t -> 'a -> 'a -> bool
 
 val covers : 'a t -> ('a * 'a) list
 (** [covers l] is the covering relation (Hasse diagram edges): pairs
-    [(x, y)] with [x < y] and no [z] strictly between. *)
+    [(x, y)] with [x < y] and no [z] strictly between, in the order of
+    [l.elements] (by [x], then by [y]).
+
+    Cost: |C|{^2} [leq] and [equal] queries fill a strict-order matrix,
+    and the covering test reads only that matrix (O(|C|{^3}) array reads,
+    |C|{^2} words of memory). {!Spec.to_text}, and therefore every job
+    digest and certificate, renders a lattice through this function. *)
 
 val height : 'a t -> int
 (** [height l] is the length of the longest chain minus one. *)
@@ -79,6 +85,27 @@ val dual : ?name:string -> 'a t -> 'a t
 
 val stringify : 'a t -> string t
 (** [stringify l] is the same scheme with elements represented by their
-    printed names — the uniform representation the CLI works with.
-    Operations parse on entry (O(|C|) per call via [of_string]), so this
-    is for driver-level code, not inner loops. *)
+    printed names — the uniform representation of the CLI, the daemon,
+    job digests, fuzz campaigns and certificates, so its operations run in
+    CFM's inner loop.
+
+    Each printed name indexes a native element. Building the value prints
+    every element once and sorts the elements by [l.compare]: O(|C| log |C|)
+    [compare] calls, with no join or meet table. Afterwards every name the
+    value hands out — [elements], [bottom], [top], and the results of
+    [join], [meet] and [of_string] — is one of |C| shared strings.
+
+    Cost of an operation: each operand is found by a linear scan of the
+    names, first by pointer and then by content (O(|C|); |C| ≤ 32 for the
+    built-in schemes, see {!Builtin}), then the native operation runs.
+    When one operand of [join] or [meet] lies below the other, the result
+    is that operand's name; otherwise the native result is found by binary
+    search in [l.compare] order. So [leq] allocates nothing, and [join]
+    and [meet] allocate only what the native operation does. Only an
+    operand that is not a canonical name (["secret:{EUR,NUC}"] for
+    ["secret:{NUC,EUR}"]) is parsed with [l.of_string].
+
+    The value is never mutated after it is built, so it may be shared
+    across threads and domains. [l] must satisfy the lattice laws and
+    [l.compare] must agree with [l.equal]; [leq], [join] and [meet] raise
+    [Invalid_argument] on a name [l.of_string] rejects. *)

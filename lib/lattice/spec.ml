@@ -5,16 +5,29 @@ let strip_comment line =
   | None -> line
   | Some i -> String.sub line 0 i
 
+(* Splits [s] at each character [sep] accepts, except inside a [{...}]
+   group, so that a class name such as secret:{NUC,EUR} stays whole. *)
+let split_outside_braces sep s =
+  let parts = ref [] and start = ref 0 and depth = ref 0 in
+  String.iteri
+    (fun i c ->
+      if c = '{' then incr depth
+      else if c = '}' then depth := max 0 (!depth - 1)
+      else if !depth = 0 && sep c then begin
+        parts := String.sub s !start (i - !start) :: !parts;
+        start := i + 1
+      end)
+    s;
+  List.rev (String.sub s !start (String.length s - !start) :: !parts)
+
 let split_words s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.concat_map (String.split_on_char ',')
+  split_outside_braces (function ' ' | '\t' | ',' -> true | _ -> false) s
   |> List.map String.trim
   |> List.filter (fun w -> w <> "")
 
 (* One "order:" clause is a comma-separated list of chains "a < b < c". *)
 let parse_order_clause ~lineno clause =
-  let chains = String.split_on_char ',' clause in
+  let chains = split_outside_braces (Char.equal ',') clause in
   List.fold_left
     (fun acc chain ->
       Result.bind acc (fun edges ->
@@ -126,6 +139,11 @@ let to_text (l : string Lattice.t) =
   Buffer.add_string buf ("lattice " ^ l.Lattice.name ^ "\n");
   Buffer.add_string buf ("elements: " ^ String.concat " " l.elements ^ "\n");
   List.iter
-    (fun (a, b) -> Buffer.add_string buf (Printf.sprintf "order: %s < %s\n" a b))
+    (fun (a, b) ->
+      Buffer.add_string buf "order: ";
+      Buffer.add_string buf a;
+      Buffer.add_string buf " < ";
+      Buffer.add_string buf b;
+      Buffer.add_char buf '\n')
     (Lattice.covers l);
   Buffer.contents buf

@@ -20,10 +20,8 @@ module Pool = Ifc_pipeline.Pool
 module Cache = Ifc_pipeline.Cache
 module Tier = Ifc_pipeline.Tier
 module Job = Ifc_pipeline.Job
-module Lattice = Ifc_lattice.Lattice
-module Chain = Ifc_lattice.Chain
-module Mls = Ifc_lattice.Mls
 module Spec = Ifc_lattice.Spec
+module Builtin = Ifc_lattice.Builtin
 module Parser = Ifc_lang.Parser
 module Wellformed = Ifc_lang.Wellformed
 module Binding = Ifc_core.Binding
@@ -193,17 +191,14 @@ let stopped t = Atomic.get t.stop
 (* Request execution *)
 
 let load_lattice text =
-  match text with
-  | "two" -> Ok (Lattice.stringify Chain.two)
-  | "three" -> Ok (Lattice.stringify Chain.three)
-  | "four" -> Ok (Lattice.stringify Chain.four)
-  | "mls" -> Ok (Lattice.stringify Mls.standard)
-  | text when String.contains text '\n' -> Spec.parse text
-  | other ->
+  match Builtin.find text with
+  | Some l -> Ok l
+  | None when String.contains text '\n' -> Spec.parse text
+  | None ->
     Error
       (Printf.sprintf
          "unknown lattice %S (use two, three, four, mls, or inline spec text)"
-         other)
+         text)
 
 let parse_program_text src =
   match Parser.parse_program src with
@@ -465,7 +460,7 @@ let classify_lint t ~timer ~v id (req : Protocol.lint_request) =
   | Ok program -> (
     (* Lint only reads the program; the spec's lattice and binding are
        fixed placeholders so equal programs share a cache entry. *)
-    let lat = Lattice.stringify Chain.two in
+    let lat = Builtin.two in
     match Binding.of_program lat program with
     | Error msg -> bad_request t ~timer ~v id ~op_name:"lint" ~name msg
     | Ok binding ->

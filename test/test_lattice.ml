@@ -149,6 +149,126 @@ let test_extended_preserves_base () =
     base.elements
 
 (* ------------------------------------------------------------------ *)
+(* String classes (Lattice.stringify) *)
+
+let powerset4 = Powerset.make [ "a"; "b"; "c"; "d" ]
+
+let stringified =
+  [
+    ("two", Lattice.stringify Chain.two);
+    ("three", Lattice.stringify Chain.three);
+    ("four", Lattice.stringify Chain.four);
+    ("mls", Lattice.stringify Mls.standard);
+    ("extended mls", Lattice.stringify (Extended.make Mls.standard));
+    ("powerset-4", Lattice.stringify powerset4);
+  ]
+
+(* Every operation on names equals the native operation, printed. *)
+let agrees_with_native name (l : 'a Lattice.t) =
+  Alcotest.test_case ("stringify agrees: " ^ name) `Quick (fun () ->
+      let s = Lattice.stringify l in
+      let p = l.to_string in
+      Alcotest.(check (list string)) "elements" (List.map p l.elements) s.elements;
+      check_string "bottom" (p l.bottom) s.bottom;
+      check_string "top" (p l.top) s.top;
+      List.iter
+        (fun x ->
+          List.iter
+            (fun y ->
+              check "leq" (l.leq x y) (s.leq (p x) (p y));
+              check_string "join" (p (l.join x y)) (s.join (p x) (p y));
+              check_string "meet" (p (l.meet x y)) (s.meet (p x) (p y)))
+            l.elements)
+        l.elements)
+
+let stringify_agreement =
+  [
+    agrees_with_native "two" Chain.two;
+    agrees_with_native "three" Chain.three;
+    agrees_with_native "four" Chain.four;
+    agrees_with_native "mls" Mls.standard;
+    agrees_with_native "extended mls" (Extended.make Mls.standard);
+    agrees_with_native "powerset-4" powerset4;
+  ]
+
+let mls_names = List.assoc "mls" stringified
+
+let test_stringify_of_string () =
+  let s = mls_names in
+  (match s.of_string "secret:{EUR,NUC}" with
+  | Ok name ->
+    check_string "canonical spelling" "secret:{NUC,EUR}" name;
+    check "the shared element name" true (List.memq name s.elements)
+  | Error e -> Alcotest.fail e);
+  (match s.of_string "secret:{NUC}" with
+  | Ok name -> check "a copy maps to the shared name" true (List.memq name s.elements)
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun bad ->
+      match (s.of_string bad, Mls.standard.of_string bad) with
+      | Error got, Error want -> check_string ("native message for " ^ bad) want got
+      | _ -> Alcotest.failf "%S accepted" bad)
+    [ "zebra"; "secret:{SPACE}"; "secret"; "" ]
+
+let test_stringify_noncanonical_operands () =
+  let s = mls_names in
+  check "leq" true (s.leq "secret:{EUR}" "secret:{EUR,NUC}");
+  check "leq, both spellings" true (s.leq "secret:{EUR,NUC}" "secret:{NUC,EUR}");
+  check_string "join" "secret:{NUC,EUR,ASI}"
+    (s.join "secret:{EUR,NUC}" "confidential:{ASI}");
+  check_string "meet" "confidential:{NUC}"
+    (s.meet "secret:{ASI,NUC}" "confidential:{EUR,NUC}");
+  check_string "join with itself" "secret:{NUC,EUR}"
+    (s.join "secret:{EUR,NUC}" "secret:{EUR,NUC}");
+  Alcotest.check_raises "unknown operand"
+    (Invalid_argument
+       "Lattice.stringify: powerset(NUC,EUR,ASI): unknown category \"SPACE\"")
+    (fun () -> ignore (s.leq "secret:{SPACE}" "secret:{}"))
+
+(* The covering relation by its definition, with order queries per
+   triple; Lattice.covers must reproduce it pair for pair, in order. *)
+let covers_reference (l : 'a Lattice.t) =
+  let lt x y = l.leq x y && not (l.equal x y) in
+  List.concat_map
+    (fun x ->
+      List.filter_map
+        (fun y ->
+          if lt x y && not (List.exists (fun z -> lt x z && lt z y) l.elements) then
+            Some (x, y)
+          else None)
+        l.elements)
+    l.elements
+
+let test_covers_reference () =
+  let same name l = check name true (Lattice.covers l = covers_reference l) in
+  same "two" Chain.two;
+  same "mls" Mls.standard;
+  same "extended mls" (Extended.make Mls.standard);
+  same "powerset-4" powerset4;
+  same "dual mls" (Lattice.dual Mls.standard);
+  List.iter (fun (name, l) -> same ("stringified " ^ name) l) stringified
+
+(* The rendered mls scheme is part of every mls job digest, store object
+   name and certificate; its bytes must not move. *)
+let test_mls_text_pinned () =
+  check_string "md5 of Spec.to_text mls" "7404a3903bf88b4e5fab560f800e1964"
+    (Digest.to_hex (Digest.string (Spec.to_text mls_names)))
+
+let test_builtin_table () =
+  List.iter
+    (fun name ->
+      match (Ifc_lattice.Builtin.find name, Ifc_lattice.Builtin.find name) with
+      | Some a, Some b ->
+        check (name ^ " built once") true (a == b);
+        check_string (name ^ " renders as its stringified scheme")
+          (Spec.to_text (List.assoc name stringified)) (Spec.to_text a)
+      | _ -> Alcotest.failf "builtin %s missing" name)
+    [ "two"; "three"; "four"; "mls" ];
+  check "two" true
+    (Option.get (Ifc_lattice.Builtin.find "two") == Ifc_lattice.Builtin.two);
+  check "unknown name" true (Option.is_none (Ifc_lattice.Builtin.find "five"))
+
+(* ------------------------------------------------------------------ *)
 (* Laws *)
 
 let law_cases =
@@ -169,6 +289,9 @@ let law_cases =
     checkable "big-powerset-sampled" (Laws.check ~sample:24 (Powerset.make
       [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h"; "i"; "j"; "k"; "l" ]));
   ]
+  @ List.map
+      (fun (name, l) -> checkable ("stringified " ^ name) (Laws.check l))
+      stringified
 
 let test_laws_catch_broken_lattice () =
   (* Sabotage the join of an otherwise fine lattice; the checker must
@@ -206,19 +329,27 @@ let test_spec_diamond () =
     | Ok () -> ()
     | Error { Laws.law; witness } -> Alcotest.fail (law ^ ": " ^ witness))
 
+(* Class names with braces and commas (secret:{NUC,EUR}) survive the
+   round trip, and the re-rendered text is byte-identical. *)
 let test_spec_roundtrip () =
-  match Spec.parse diamond_spec with
-  | Error e -> Alcotest.fail e
-  | Ok l -> (
-    match Spec.parse (Spec.to_text l) with
-    | Error e -> Alcotest.fail ("reparse failed: " ^ e)
-    | Ok l2 ->
-      List.iter
-        (fun x ->
-          List.iter
-            (fun y -> check "same order" (l.leq x y) (l2.leq x y))
-            l.elements)
-        l.elements)
+  let diamond = Result.get_ok (Spec.parse diamond_spec) in
+  List.iter
+    (fun (name, l) ->
+      match Spec.parse (Spec.to_text l) with
+      | Error e -> Alcotest.failf "%s: reparse failed: %s" name e
+      | Ok l2 ->
+        Alcotest.(check (list string)) (name ^ ": same elements") l.elements l2.elements;
+        List.iter
+          (fun x ->
+            List.iter
+              (fun y -> check (name ^ ": same order") (l.leq x y) (l2.leq x y))
+              l.elements)
+          l.elements;
+        check_string (name ^ ": same text") (Spec.to_text l) (Spec.to_text l2))
+    (("diamond", diamond)
+    :: List.filter
+         (fun (name, _) -> List.mem name [ "mls"; "extended mls"; "powerset-4" ])
+         stringified)
 
 let test_spec_errors () =
   let cases =
@@ -345,5 +476,12 @@ let suite =
       Alcotest.test_case "joins/meets of empty" `Quick test_joins_meets_empty;
       Alcotest.test_case "make_from_order rejects non-lattice" `Quick
         test_make_from_order_rejects_nonlattice;
+      Alcotest.test_case "stringify of_string canonicalises" `Quick
+        test_stringify_of_string;
+      Alcotest.test_case "stringify non-canonical operands" `Quick
+        test_stringify_noncanonical_operands;
+      Alcotest.test_case "covers matches its definition" `Quick test_covers_reference;
+      Alcotest.test_case "mls spec text pinned" `Quick test_mls_text_pinned;
+      Alcotest.test_case "builtin table" `Quick test_builtin_table;
     ]
-    @ law_cases @ qcheck_lattice_props )
+    @ stringify_agreement @ law_cases @ qcheck_lattice_props )

@@ -424,6 +424,31 @@ let test_batch_digest_sensitivity () =
   check "digest ignores id and name" true
     (String.equal d (Job.digest { spec with Job.id = 99; Job.name = "other" }))
 
+(* An mls job, with its digest computed before security classes were
+   indexed by name: the rendered lattice is part of the key, so response
+   digests and store object names must not move. Its certificate's
+   lattice lines hold class names such as secret:{NUC,EUR}, which must
+   re-parse for the cert analysis to pass. *)
+let test_mls_job_pinned () =
+  let mls = Option.get (Ifc_lattice.Builtin.find "mls") in
+  let program =
+    Result.get_ok
+      (Ifc_lang.Parser.parse_program
+         "var x, y, z : integer;\nbegin x := 0; y := x; z := x + y end")
+  in
+  let binding =
+    Binding.make mls
+      [
+        ("x", "confidential:{NUC}");
+        ("y", "secret:{NUC,EUR}");
+        ("z", "topsecret:{NUC,EUR,ASI}");
+      ]
+  in
+  let spec = Job.make ~id:0 ~name:"pin" ~lattice:mls ~binding program in
+  Alcotest.(check string) "digest" "4b7adf01fff1ccdfaf407047418cc564" (Job.digest spec);
+  let r = Job.run { spec with Job.analyses = [ Job.Cert ] } in
+  Alcotest.(check string) "cert verdict" "pass" (Job.verdict_string r)
+
 let test_batch_multi_analysis_jsonl () =
   let path = Filename.temp_file "ifc_batch" ".jsonl" in
   let sink = Telemetry.open_sink path in
@@ -494,6 +519,7 @@ let suite =
         test_batch_error_not_cached;
       Alcotest.test_case "job digest sensitivity" `Quick
         test_batch_digest_sensitivity;
+      Alcotest.test_case "mls job digest and certificate" `Quick test_mls_job_pinned;
       Alcotest.test_case "batch multi-analysis + jsonl" `Quick
         test_batch_multi_analysis_jsonl;
     ] )
