@@ -35,6 +35,8 @@ module Make (D : DOMAIN) = struct
     let compare = compare
   end)
 
+  module Int_set = Set.Make (Int)
+
   let solve ?(direction = Forward) ?(order = fun n -> n) g ~init =
     (* Orient the graph: in the backward direction every edge flips, so
        the rest of the algorithm is direction-agnostic. *)
@@ -61,6 +63,19 @@ module Make (D : DOMAIN) = struct
       end
     in
     List.iter push g.entry;
+    (* Widening is where drain order could leak into the result: a loop
+       head widened against a half-propagated contribution (one arm of
+       an [if] merged, the other still on the worklist) jumps further
+       than one that sees the whole join. So contributions to widening
+       points are held back, joined, while the rest of the graph
+       settles. Loop heads cut every cycle of a CFG, so with them frozen
+       the worklist drains to the same node states in any order (a
+       finite domain with no widening points reaches its least fixpoint
+       in the first round). Only then is one held point widened and
+       released — the lowest-numbered, a property of the graph rather
+       than of [order] — and the next round begins. *)
+    let held = Array.make g.node_count D.bottom in
+    let holding = ref Int_set.empty in
     let rec drain () =
       match Iset.min_elt_opt !ready with
       | None -> ()
@@ -72,18 +87,36 @@ module Make (D : DOMAIN) = struct
           (fun e ->
             incr visits;
             let contribution = e.transfer state.(n) in
-            let current = state.(e.dst) in
-            let next =
-              if widen_at.(e.dst) then D.widen current contribution
-              else D.join current contribution
-            in
-            if not (D.equal next current) then begin
-              state.(e.dst) <- next;
-              push e.dst
+            if widen_at.(e.dst) then begin
+              held.(e.dst) <- D.join held.(e.dst) contribution;
+              holding := Int_set.add e.dst !holding
+            end
+            else begin
+              let current = state.(e.dst) in
+              let next = D.join current contribution in
+              if not (D.equal next current) then begin
+                state.(e.dst) <- next;
+                push e.dst
+              end
             end)
           succs.(n);
         drain ()
     in
-    drain ();
+    let rec rounds () =
+      drain ();
+      match Int_set.min_elt_opt !holding with
+      | None -> ()
+      | Some w ->
+        holding := Int_set.remove w !holding;
+        let current = state.(w) in
+        let next = D.widen current held.(w) in
+        held.(w) <- D.bottom;
+        if not (D.equal next current) then begin
+          state.(w) <- next;
+          push w
+        end;
+        rounds ()
+    in
+    rounds ();
     (state, { iterations = !iterations; visits = !visits })
 end

@@ -7,7 +7,10 @@
     chaotic iteration; for domains with infinite ascending chains
     (intervals) it applies the domain's widening operator at the
     designated widening points — loop heads — which bounds the number of
-    times any node can be revisited.
+    times any node can be revisited. Contributions to a widening point
+    are held back until the rest of the graph has settled, then widened
+    in one step, one point at a time in node order, so no widening ever
+    sees a half-propagated join.
 
     The iteration order is configurable ({!solve}'s [order]): the
     fixpoint of a monotone problem is independent of the order in which

@@ -84,6 +84,59 @@ let test_solver_order_independent =
             reference states)
         [ (fun n -> -n); (fun n -> (n * 7919) mod 101); (fun _ -> 0) ])
 
+(* Two pinned programs for the property above. In the first, widening
+   on arrival let a drain that reached the [if]'s merge after one arm
+   widen the inner loop head past what the full join needs, so the
+   reversed and scrambled orders disagreed with the identity. The
+   second pins that holding widening back costs no precision: the last
+   loop head sees both arms of the [if] joined — one of them a loop —
+   and keeps [w <= 2] under every order. *)
+let test_solver_order_pinned () =
+  let orders =
+    [ (fun n -> n); (fun n -> -n); (fun n -> (n * 7919) mod 101); (fun _ -> 0) ]
+  in
+  let solve_all src =
+    let cfg = Cfg.of_program (parse_exn src) in
+    let g = interval_graph cfg in
+    ( cfg,
+      List.map
+        (fun order -> fst (Intervals.solve ~order g ~init:Interval.top_env))
+        orders )
+  in
+  let _, runs =
+    solve_all
+      {|
+var x : integer;
+while x > 0 do begin skip; if x = 3 then skip fi; while 0 do skip od end od
+|}
+  in
+  let reference = List.hd runs in
+  List.iteri
+    (fun i states ->
+      check (Printf.sprintf "order %d matches the identity order" i) true
+        (Array.for_all2 Interval.Dom.equal reference states))
+    runs;
+  let cfg, runs =
+    solve_all
+      {|
+var w, y : integer;
+begin
+  if w = 0 then skip else while w > 2 do w := w - 1 od fi;
+  while y < 2 do y := y + 1 od
+end
+|}
+  in
+  let last_head = List.fold_left max 0 cfg.Cfg.loop_heads in
+  List.iteri
+    (fun i states ->
+      check
+        (Printf.sprintf "order %d keeps w <= 2 at the last loop head" i)
+        true
+        (Interval.value_equal
+           (Interval.lookup ~volatile:Sset.empty states.(last_head) "w")
+           (Interval.Itv (Interval.Ninf, Interval.Fin 2))))
+    runs
+
 (* Widening keeps adversarial loop nests cheap: a triple nest counting
    to large constants would take ~10^9 visits without it. *)
 let test_widening_terminates () =
@@ -516,4 +569,6 @@ let suite =
       test_dsummary_roundtrip;
       Alcotest.test_case "summary reuse through the store" `Quick
         test_dflow_store_reuse;
+      Alcotest.test_case "solver order independence on pinned programs"
+        `Quick test_solver_order_pinned;
     ] )
