@@ -957,7 +957,65 @@ let cert_bench ~corpus () =
   metric_f "cert" "check_per_sec" (float_of_int n /. check_s);
   metric_i "cert" "checked_valid" valid;
   metric_f "cert" "bytes_per_statement"
-    (float_of_int bytes /. float_of_int stmts)
+    (float_of_int bytes /. float_of_int stmts);
+  (* Phases of one certificate over a fixed set shaped like the daemon
+     benchmark's cert-store working set: eight integer variables and two
+     semaphores, generator size 30, each program at the least binding
+     that holds one variable at top. The witness is Generate plus
+     Logic.Check; render is of_proof plus to_string. Reported per
+     certificate: CPU µs (median of 5 passes) and minor-heap words. *)
+  let cfg = { Gen.default with Gen.vars = [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ] } in
+  let rng = Prng.create 7 in
+  let set =
+    List.init 64 (fun _ ->
+        let p = Gen.program rng cfg ~size:30 in
+        let v = Prng.choose rng (Sset.elements (Ifc_lang.Vars.all_vars p.Ast.body)) in
+        match Infer.infer stwo ~fixed:[ (v, stwo.Lattice.top) ] p with
+        | Ok b -> (b, p)
+        | Error _ -> invalid_arg "cert: inference failed with one top variable")
+  in
+  let per_item inputs f =
+    let n = float_of_int (List.length inputs) in
+    let pass () = List.iter (fun x -> ignore (Sys.opaque_identity (f x))) inputs in
+    let w0 = Gc.minor_words () in
+    pass ();
+    let words = (Gc.minor_words () -. w0) /. n in
+    (1e6 *. time_one pass /. n, words)
+  in
+  let ok = function Ok x -> x | Error _ -> invalid_arg "cert: phase input rejected" in
+  let proofs = List.map (fun (b, p) -> (b, p, ok (Invariance.witness b p.Ast.body))) set in
+  let texts =
+    List.map
+      (fun (binding, program, proof) ->
+        (program, Cert.to_string (Cert.of_proof ~binding ~program proof)))
+      proofs
+  in
+  let parsed = List.map (fun (p, text) -> (p, ok (Cert.parse text))) texts in
+  if not (List.for_all (fun (p, c) -> Result.is_ok (Checker.check c p)) parsed) then
+    invalid_arg "cert: a phase certificate was rejected";
+  let row name (us, words) =
+    Fmt.pr "%-8s %10.1f us %10.0f words per certificate@." name us words;
+    metric_f "cert" (name ^ "_us") us;
+    metric_f "cert" (name ^ "_words") words
+  in
+  Fmt.pr "phases over %d cert-store-shaped programs (size 30, %.1f statements each):@."
+    (List.length set)
+    (float_of_int
+       (List.fold_left (fun a (_, p) -> a + (Metrics.of_program p).Metrics.statements) 0 set)
+    /. float_of_int (List.length set));
+  row "witness" (per_item set (fun (b, p) -> Invariance.witness b p.Ast.body));
+  row "render"
+    (per_item proofs (fun (binding, program, proof) ->
+         Cert.to_string (Cert.of_proof ~binding ~program proof)));
+  row "parse" (per_item texts (fun (_, text) -> Cert.parse text));
+  row "check" (per_item parsed (fun (p, c) -> Checker.check c p));
+  List.iter
+    (fun (name, l) ->
+      let text = Ifc_lattice.Spec.to_text l in
+      let us, _ = per_item (List.init 20 (fun _ -> text)) Ifc_lattice.Spec.parse in
+      Fmt.pr "Spec.parse on %s: %.1f us@." name us;
+      metric_f "cert" ("spec_parse_" ^ name ^ "_us") us)
+    [ ("two", stwo); ("mls", Lattice.stringify Mls.standard) ]
 
 (* ------------------------------------------------------------------ *)
 (* SERVER: the certification daemon — N concurrent clients hammering

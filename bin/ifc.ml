@@ -714,13 +714,13 @@ let run_cert_check lattice_name binding_file cert_file component_files path =
      | Ok cert ->
        (* Optional cross-checks of the embedded scheme and binding
           against what the caller expects. *)
-       let* () =
+       let same_scheme l = String.equal (Spec.to_text l) (Spec.to_text cert.Cert.lattice) in
+       let* expected_lattice =
          match lattice_name with
-         | None -> Ok ()
+         | None -> Ok None
          | Some name ->
            let* expected = load_lattice name in
-           if String.equal (Spec.to_text expected) (Spec.to_text cert.Cert.lattice)
-           then Ok ()
+           if same_scheme expected then Ok (Some expected)
            else
              Error
                (Fmt.str "certificate lattice %S differs from expected %S"
@@ -731,14 +731,31 @@ let run_cert_check lattice_name binding_file cert_file component_files path =
          | None -> Ok []
          | Some bf ->
            let* btext = read_file bf in
-           let* expected = Binding.of_spec cert.Cert.lattice btext in
+           (* The certificate's parsed scheme accepts only the exact
+              spelling of a class, where emission accepted any. Read the
+              binding through a scheme with the same text that
+              canonicalises names: the --lattice one, or the built-in
+              scheme of the same name. *)
+           let scheme =
+             match expected_lattice with
+             | Some l -> l
+             | None -> (
+               match Builtin.named cert.Cert.lattice.Lattice.name with
+               | Some l when same_scheme l -> l
+               | _ -> cert.Cert.lattice)
+           in
+           let canonical cls =
+             match scheme.Lattice.of_string cls with
+             | Ok c -> scheme.Lattice.to_string c
+             | Error _ -> cls
+           in
+           let* expected = Binding.of_spec scheme btext in
            Ok
              (List.filter
                 (fun (v, cls) ->
                   not
-                    (String.equal cls
-                       (cert.Cert.lattice.Lattice.to_string
-                          (Binding.sbind expected v))))
+                    (String.equal (canonical cls)
+                       (scheme.Lattice.to_string (Binding.sbind expected v))))
                 cert.Cert.binds)
        in
        (match mismatches with

@@ -182,21 +182,18 @@ let chop_prefix ~prefix s =
   else None
 
 (* Split on a multi-character separator (atoms contain no separator
-   substrings, so this is unambiguous). *)
+   substrings, so this is unambiguous). The separator is matched in place;
+   only the pieces are allocated. *)
 let split_str sep s =
   let m = String.length sep in
   let n = String.length s in
-  let rec find i =
-    if i + m > n then None
-    else if String.equal (String.sub s i m) sep then Some i
-    else find (i + 1)
+  let rec matches i k = k = m || (s.[i + k] = sep.[k] && matches i (k + 1)) in
+  let rec go start i acc =
+    if i + m > n then List.rev (String.sub s start (n - start) :: acc)
+    else if matches i 0 then go (i + m) (i + m) (String.sub s start (i - start) :: acc)
+    else go start (i + 1) acc
   in
-  let rec go start acc =
-    match find start with
-    | None -> List.rev (String.sub s start (n - start) :: acc)
-    | Some i -> go (i + m) (String.sub s start (i - start) :: acc)
-  in
-  go 0 []
+  go 0 0 []
 
 let is_hex c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')
 
@@ -335,7 +332,7 @@ let parse_exn text =
         (fun acc p -> Cexpr.Join (acc, parse_part ln p))
         (parse_part ln first) rest
   in
-  let parse_assertion ln s =
+  let parse_assertion_text ln s =
     let n = String.length s in
     if n < 2 || s.[0] <> '{' || s.[n - 1] <> '}' then
       fail ln "assertion must be of the form {...}";
@@ -351,6 +348,20 @@ let parse_exn text =
                fail ln
                  (Printf.sprintf "malformed atom %S (expected \"e1 <= e2\")"
                     atom))
+  in
+  (* A derivation repeats a handful of assertions at most of its nodes
+     (adjacent pre/post pairs, consequence wrappers, the invariant), so
+     each distinct text is parsed once and its occurrences share one
+     value. Only successful parses are kept: a bad text fails at its
+     first occurrence, with that line. *)
+  let parsed = Hashtbl.create 32 in
+  let parse_assertion ln s =
+    match Hashtbl.find_opt parsed s with
+    | Some a -> a
+    | None ->
+      let a = parse_assertion_text ln s in
+      Hashtbl.add parsed s a;
+      a
   in
   (* Node tree, preorder, paths checked against position. *)
   let rec parse_node path =

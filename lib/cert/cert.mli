@@ -84,3 +84,19 @@ val parse : string -> (t, parse_error) result
     structured [Error]; no exception escapes. *)
 
 val pp_parse_error : Format.formatter -> parse_error -> unit
+
+(** {2 Line-format helpers}
+
+    Shared with {!Linked}, whose format uses the same line grammar. *)
+
+val chop_prefix : prefix:string -> string -> string option
+(** [chop_prefix ~prefix s] is what follows [prefix] in [s], when [s]
+    starts with it. *)
+
+val split_str : string -> string -> string list
+(** [split_str sep s] splits [s] at every occurrence of the
+    multi-character separator [sep], left to right. The separator is
+    matched in place; only the pieces are allocated. *)
+
+val is_hex : char -> bool
+(** A lowercase hexadecimal digit. *)

@@ -135,10 +135,16 @@ let check (c : Cert.t) (program : Ast.program) =
     (* Interference freedom for the concurrency rule: every assertion of
        branch [i] must be preserved by every write action of a sibling,
        with the acting process's certification variables approximated by
-       the bounds in the action's precondition. *)
+       the bounds in the action's precondition. A branch repeats a few
+       assertions at most of its nodes, and the obligation for one action
+       depends only on the assertion, so each distinct assertion is
+       decided once per action; a failure is still reported at every
+       occurrence, in walk order. *)
     let interference_free path pairs =
       List.iteri
         (fun i (pi, _) ->
+          let occurrences = all_assertions pi [] in
+          let reps, slots = Assertion.distinct occurrences in
           List.iteri
             (fun j pair_j ->
               if i <> j then
@@ -153,17 +159,22 @@ let check (c : Cert.t) (program : Ast.program) =
                     let sigma =
                       write_subst name (Cexpr.Join (written_class, bounds))
                     in
-                    List.iter
-                      (fun r ->
-                        let r' = Assertion.subst sigma r in
-                        if not (entail (r @ action.Cert.pre) r') then
+                    let preserved =
+                      Array.map
+                        (fun r ->
+                          entail (r @ action.Cert.pre) (Assertion.subst sigma r))
+                        reps
+                    in
+                    List.iteri
+                      (fun k r ->
+                        if not preserved.(slots.(k)) then
                           fail path "concurrency"
                             (Fmt.str
                                "interference: %a not preserved by %s under %a"
                                (Assertion.pp lat) r
                                (Pretty.stmt_to_string stmt) (Assertion.pp lat)
                                action.Cert.pre))
-                      (all_assertions pi []))
+                      occurrences)
                   (collect_actions pair_j []))
             pairs)
         pairs
@@ -416,10 +427,20 @@ let check (c : Cert.t) (program : Ast.program) =
        inner nodes are not occurrences — and the root's postcondition
        carry the policy invariant as their V part. *)
     let invariant = Assertion.policy binding vars in
+    (* Most occurrences share one of a few parsed assertions, so the
+       answer is kept per assertion, by identity. *)
+    let v_checked = ref [] in
     let v_ok a =
-      match Assertion.triple_of lat a with
-      | Some t -> Assertion.equal lat t.Assertion.v invariant
-      | None -> false
+      match List.assq_opt a !v_checked with
+      | Some ok -> ok
+      | None ->
+        let ok =
+          match Assertion.triple_of lat a with
+          | Some t -> Assertion.equal lat t.Assertion.v invariant
+          | None -> false
+        in
+        v_checked := (a, ok) :: !v_checked;
+        ok
     in
     let rec skip_conseq path (n : Cert.node) =
       match (n.Cert.kind, n.Cert.children) with

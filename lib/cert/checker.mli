@@ -28,4 +28,18 @@ val check :
   Cert.t -> Ifc_lang.Ast.program -> (unit, failure list) result
 (** [check cert program] validates [cert] against [program]. [Error]
     carries every detected failure in walk order; the head names the first
-    bad node. *)
+    bad node.
+
+    Cost. Every rule instance is checked; what is shared is work whose
+    answer cannot differ. {!Cert.parse} gives equal assertion texts one
+    value, so a derivation's assertions are a handful of values repeated
+    at most nodes. Interference freedom decides each (distinct assertion,
+    sibling action) entailment once and reports a failure at every
+    occurrence, in walk order and with the same text; the invariance walk
+    keeps its answer per assertion value. Both memos live inside one call,
+    keyed by identity or structural equality, so concurrent calls share
+    no mutable state. On ~35-statement cobegin programs over the
+    two-point lattice this is about 130 entailments per certificate (83
+    of them for interference) and 0.54 M words, against 361 (314) and
+    3.1 M words when every occurrence was decided (EXPERIMENTS.md,
+    CERT). *)

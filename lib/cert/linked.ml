@@ -356,27 +356,11 @@ exception Fail of parse_error
 
 let fail line reason = raise (Fail { line; reason })
 
-let chop_prefix ~prefix s =
-  if String.starts_with ~prefix s then
-    Some (String.sub s (String.length prefix) (String.length s - String.length prefix))
-  else None
+let chop_prefix = Cert.chop_prefix
 
-let split_str sep s =
-  let m = String.length sep in
-  let n = String.length s in
-  let rec find i =
-    if i + m > n then None
-    else if String.equal (String.sub s i m) sep then Some i
-    else find (i + 1)
-  in
-  let rec go start acc =
-    match find start with
-    | None -> List.rev (String.sub s start (n - start) :: acc)
-    | Some i -> go (i + m) (String.sub s start (i - start) :: acc)
-  in
-  go 0 []
+let split_str = Cert.split_str
 
-let is_hex c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')
+let is_hex = Cert.is_hex
 
 let valid_digest d = String.length d = 32 && String.for_all is_hex d
 

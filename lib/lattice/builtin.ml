@@ -11,3 +11,8 @@ let table =
   ]
 
 let find name = List.assoc_opt name table
+
+let named name =
+  List.find_map
+    (fun (_, l) -> if String.equal l.Lattice.name name then Some l else None)
+    table

@@ -12,3 +12,8 @@ val two : string Lattice.t
 val find : string -> string Lattice.t option
 (** [find name] is the scheme called [name]: ["two"], ["three"],
     ["four"] ({!Chain.four}) or ["mls"] ({!Mls.standard}). *)
+
+val named : string -> string Lattice.t option
+(** [named n] is the built-in scheme whose {!Lattice.name} is [n]
+    (["two-point"], ["mls-standard"], ...), the name a certificate's
+    lattice lines record. *)

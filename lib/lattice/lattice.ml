@@ -177,120 +177,107 @@ let stringify l =
         | i -> Ok names.(i));
   }
 
-(* Build a lattice from an explicit order by searching for lubs/glbs.
-   We precompute nothing: [elements] lists stay small (construction from an
-   order is only used for parsed, user-defined schemes). *)
+(* Build a lattice from an explicit order. One [leq] query per ordered
+   pair fills an n×n order matrix; the law checks, the bound searches and
+   every operation afterwards read only that matrix and the join and meet
+   tables. As in [stringify], an operand is found by its printed name
+   (pointer, then bytes), so with [to_string = Fun.id] an operation
+   allocates nothing. *)
 let make_from_order ~name ~elements ~leq ~to_string =
-  let equal x y = leq x y && leq y x in
   let ( let* ) = Result.bind in
-  let unique_bound ~what ~dir x y =
-    (* dir = true: least upper bound; dir = false: greatest lower bound. *)
-    let is_bound z = if dir then leq x z && leq y z else leq z x && leq z y in
-    let bounds = List.filter is_bound elements in
-    let extremal z =
-      List.for_all (fun w -> if dir then leq z w else leq w z) bounds
-    in
-    match List.filter extremal bounds with
-    | [ z ] -> Ok z
-    | [] ->
-      Error
-        (Printf.sprintf "%s: no %s for %s and %s" name what (to_string x) (to_string y))
-    | z :: _ as several ->
-      (* With antisymmetry this cannot happen; report it to diagnose bad
-         user-supplied orders rather than asserting. *)
-      if List.for_all (equal z) several then Ok z
-      else
-        Error
-          (Printf.sprintf "%s: multiple %ss for %s and %s" name what (to_string x)
-             (to_string y))
-  in
-  let* () =
-    if elements = [] then Error (name ^ ": empty carrier") else Ok ()
-  in
-  let* () =
-    let reflexive = List.for_all (fun x -> leq x x) elements in
-    if reflexive then Ok () else Error (name ^ ": order is not reflexive")
-  in
-  let* () =
-    let transitive =
-      List.for_all
-        (fun x ->
-          List.for_all
-            (fun y ->
-              List.for_all
-                (fun z -> (not (leq x y && leq y z)) || leq x z)
-                elements)
-            elements)
-        elements
-    in
-    if transitive then Ok () else Error (name ^ ": order is not transitive")
-  in
-  let* () =
-    let names = List.map to_string elements in
-    let sorted = List.sort_uniq String.compare names in
-    if List.length sorted = List.length names then Ok ()
-    else Error (name ^ ": duplicate element names")
-  in
-  (* Precompute the binary operation tables as association structures keyed
-     by element indices so the returned operations are O(n) worst case but
-     typically table lookups. *)
   let arr = Array.of_list elements in
   let n = Array.length arr in
-  let index x =
-    let rec go i = if i >= n then None else if equal arr.(i) x then Some i else go (i + 1) in
+  let names = Array.map to_string arr in
+  let le = Array.init n (fun i -> Array.init n (fun j -> leq arr.(i) arr.(j))) in
+  let ge = Array.init n (fun i -> Array.init n (fun j -> le.(j).(i))) in
+  (* The least of [i]'s and [j]'s upper bounds under the order matrix [m]
+     ([ge] gives lower bounds): the first bound, in element order, below
+     every bound. The scan keeps a candidate that no later bound lies
+     strictly below; on a transitive order it is least whenever anything
+     is, and every least bound is equivalent to it, so one pass over the
+     bounds decides existence. *)
+  let bound ~what m i j =
+    let mi = m.(i) and mj = m.(j) in
+    let c = ref (-1) in
+    for z = 0 to n - 1 do
+      if mi.(z) && mj.(z) && (!c < 0 || (m.(z).(!c) && not m.(!c).(z))) then c := z
+    done;
+    let c = !c in
+    let rec least w = w = n || (((not (mi.(w) && mj.(w))) || m.(c).(w)) && least (w + 1)) in
+    if c < 0 || not (least 0) then
+      Error (Printf.sprintf "%s: no %s for %s and %s" name what names.(i) names.(j))
+    else
+      let rec first z = if mi.(z) && mj.(z) && m.(z).(c) then z else first (z + 1) in
+      Ok (first 0)
+  in
+  let table ~what m =
+    let tbl = Array.make_matrix n n 0 in
+    let rec fill i j =
+      if i >= n then Ok tbl
+      else if j >= n then fill (i + 1) 0
+      else
+        let* k = bound ~what m i j in
+        tbl.(i).(j) <- k;
+        fill i (j + 1)
+    in
+    fill 0 0
+  in
+  (* The first element below (for [ge], above) every element. *)
+  let extremum m what =
+    let rec go i =
+      if i >= n then Error (Printf.sprintf "%s: no %s element" name what)
+      else if Array.for_all Fun.id m.(i) then Ok arr.(i)
+      else go (i + 1)
+    in
     go 0
   in
-  let* join_table =
-    let tbl = Array.make_matrix n n 0 in
-    let rec fill i j =
-      if i >= n then Ok tbl
-      else if j >= n then fill (i + 1) 0
-      else
-        let* z = unique_bound ~what:"least upper bound" ~dir:true arr.(i) arr.(j) in
-        match index z with
-        | Some k ->
-          tbl.(i).(j) <- k;
-          fill i (j + 1)
-        | None -> Error (name ^ ": internal index error")
-    in
-    fill 0 0
+  let* () = if n = 0 then Error (name ^ ": empty carrier") else Ok () in
+  let* () =
+    let reflexive = ref true in
+    for i = 0 to n - 1 do
+      if not le.(i).(i) then reflexive := false
+    done;
+    if !reflexive then Ok () else Error (name ^ ": order is not reflexive")
   in
-  let* meet_table =
-    let tbl = Array.make_matrix n n 0 in
-    let rec fill i j =
-      if i >= n then Ok tbl
-      else if j >= n then fill (i + 1) 0
-      else
-        let* z = unique_bound ~what:"greatest lower bound" ~dir:false arr.(i) arr.(j) in
-        match index z with
-        | Some k ->
-          tbl.(i).(j) <- k;
-          fill i (j + 1)
-        | None -> Error (name ^ ": internal index error")
-    in
-    fill 0 0
+  let* () =
+    let transitive = ref true in
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        if le.(i).(j) then
+          for k = 0 to n - 1 do
+            if le.(j).(k) && not le.(i).(k) then transitive := false
+          done
+      done
+    done;
+    if !transitive then Ok () else Error (name ^ ": order is not transitive")
   in
+  let* () =
+    let sorted = List.sort_uniq String.compare (Array.to_list names) in
+    if List.length sorted = n then Ok ()
+    else Error (name ^ ": duplicate element names")
+  in
+  let* join_table = table ~what:"least upper bound" le in
+  let* meet_table = table ~what:"greatest lower bound" ge in
+  let* bottom = extremum le "minimum" in
+  let* top = extremum ge "maximum" in
+  let find x = name_index names (to_string x) in
   let op table x y =
-    match (index x, index y) with
-    | Some i, Some j -> arr.(table.(i).(j))
-    | _ -> invalid_arg (name ^ ": element not in lattice")
+    let i = find x and j = find y in
+    if i < 0 || j < 0 then invalid_arg (name ^ ": element not in lattice")
+    else arr.(table.(i).(j))
   in
-  let* bottom =
-    match List.filter (fun x -> List.for_all (leq x) elements) elements with
-    | [ b ] -> Ok b
-    | b :: _ as several when List.for_all (equal b) several -> Ok b
-    | _ -> Error (name ^ ": no minimum element")
+  let leq x y =
+    let i = find x and j = find y in
+    i >= 0 && j >= 0 && le.(i).(j)
   in
-  let* top =
-    match List.filter (fun x -> List.for_all (fun y -> leq y x) elements) elements with
-    | [ t ] -> Ok t
-    | t :: _ as several when List.for_all (equal t) several -> Ok t
-    | _ -> Error (name ^ ": no maximum element")
+  let equal x y =
+    let i = find x and j = find y in
+    i >= 0 && j >= 0 && le.(i).(j) && le.(j).(i)
   in
   let of_string s =
-    match List.find_opt (fun x -> String.equal (to_string x) s) elements with
-    | Some x -> Ok x
-    | None -> Error (Printf.sprintf "%s: unknown class %S" name s)
+    match name_index names s with
+    | -1 -> Error (Printf.sprintf "%s: unknown class %S" name s)
+    | i -> Ok arr.(i)
   in
   let compare x y = String.compare (to_string x) (to_string y) in
   Ok

@@ -62,11 +62,25 @@ val make_from_order :
   to_string:('a -> string) ->
   ('a t, string) result
 (** [make_from_order ~name ~elements ~leq ~to_string] builds a lattice from
-    a finite set and its partial order, computing joins and meets by search.
-    Returns [Error _] when the order is not a lattice (some pair lacks a
-    unique least upper or greatest lower bound) or lacks extrema.
-    Structural equality is used for [equal]; [of_string] inverts
-    [to_string] over [elements]. Cost of construction is O(n^3). *)
+    a finite set and its partial order. Returns [Error _] when the carrier
+    is empty, the order is not reflexive or transitive, two elements print
+    alike, or some pair lacks a least upper or greatest lower bound.
+    {!Spec.parse} builds every parsed scheme, and so every certificate's
+    scheme, through this function.
+
+    Construction makes n{^2} [leq] queries to fill an n×n order matrix,
+    then checks the laws and fills n×n join and meet tables from the
+    matrix alone: O(n{^3}) array reads, O(n{^2}) words.
+
+    Elements are identified by their printed names, as in {!stringify}:
+    an operand is found by a linear scan of the names, by pointer and then
+    by content, and [leq], [equal], [join] and [meet] are then matrix or
+    table reads. With [to_string = Fun.id] no operation allocates. [equal]
+    is [leq] both ways; [of_string] accepts exactly the printed names.
+    An operand that names no element is below and equal to nothing, and
+    [join] and [meet] raise [Invalid_argument] on it. The value is never
+    mutated after it is built, so it may be shared across threads and
+    domains. *)
 
 val rename : string -> 'a t -> 'a t
 (** [rename name l] is [l] with its [name] replaced. *)

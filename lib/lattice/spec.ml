@@ -82,51 +82,55 @@ let parse text =
       let name = Option.value name ~default:"user-lattice" in
       if elements = [] then Error (name ^ ": no elements declared")
       else
+        (* Each distinct name indexes one row of the order matrix, so a
+           duplicated name shares its row; make_from_order reports the
+           duplicate. *)
+        let index = Hashtbl.create 64 in
+        List.iter
+          (fun e ->
+            if not (Hashtbl.mem index e) then Hashtbl.add index e (Hashtbl.length index))
+          elements;
         let missing =
-          List.filter
-            (fun (a, b) -> not (List.mem a elements && List.mem b elements))
+          List.find_opt
+            (fun (a, b) -> not (Hashtbl.mem index a && Hashtbl.mem index b))
             edges
         in
         match missing with
-        | (a, b) :: _ ->
+        | Some (a, b) ->
           Error
             (Printf.sprintf "%s: order mentions undeclared element in %s < %s" name a b)
-        | [] ->
-          (* Reflexive-transitive closure by fixpoint over the edge list. *)
-          let leq_tbl = Hashtbl.create 64 in
-          let set a b = Hashtbl.replace leq_tbl (a, b) () in
-          List.iter (fun e -> set e e) elements;
-          List.iter (fun (a, b) -> set a b) edges;
-          let changed = ref true in
-          while !changed do
-            changed := false;
-            List.iter
-              (fun a ->
-                List.iter
-                  (fun b ->
-                    if Hashtbl.mem leq_tbl (a, b) then
-                      List.iter
-                        (fun c ->
-                          if Hashtbl.mem leq_tbl (b, c) && not (Hashtbl.mem leq_tbl (a, c))
-                          then begin
-                            set a c;
-                            changed := true
-                          end)
-                        elements)
-                  elements)
-              elements
+        | None ->
+          (* Reflexive-transitive closure (Warshall). *)
+          let n = Hashtbl.length index in
+          let m = Array.make_matrix n n false in
+          for i = 0 to n - 1 do m.(i).(i) <- true done;
+          List.iter (fun (a, b) -> m.(Hashtbl.find index a).(Hashtbl.find index b) <- true) edges;
+          for k = 0 to n - 1 do
+            for i = 0 to n - 1 do
+              if m.(i).(k) then
+                for j = 0 to n - 1 do
+                  if m.(k).(j) then m.(i).(j) <- true
+                done
+            done
           done;
-          let leq a b = Hashtbl.mem leq_tbl (a, b) in
-          (* Antisymmetry check: a declared cycle would collapse classes. *)
+          (* Antisymmetry check: a declared cycle would collapse classes.
+             The first offending pair in element order is reported. *)
+          let indexed = List.map (fun e -> (e, Hashtbl.find index e)) elements in
           let cycle =
-            List.find_opt
-              (fun (a, b) -> not (String.equal a b) && leq a b && leq b a)
-              (Ifc_support.Listx.cartesian elements elements)
+            List.find_map
+              (fun (a, i) ->
+                List.find_map
+                  (fun (b, j) ->
+                    if (not (String.equal a b)) && m.(i).(j) && m.(j).(i) then Some (a, b)
+                    else None)
+                  indexed)
+              indexed
           in
           (match cycle with
           | Some (a, b) ->
             Error (Printf.sprintf "%s: order cycle between %s and %s" name a b)
           | None ->
+            let leq a b = m.(Hashtbl.find index a).(Hashtbl.find index b) in
             Lattice.make_from_order ~name ~elements ~leq ~to_string:Fun.id))
 
 let parse_file path =

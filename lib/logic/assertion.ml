@@ -19,7 +19,23 @@ let atom_key (l : 'a Lattice.t) a =
 
 let equal (l : 'a Lattice.t) p q =
   let norm p = List.sort_uniq compare (List.map (atom_key l) p) in
-  norm p = norm q
+  p == q || norm p = norm q
+
+let distinct ps =
+  let reps = Array.make (List.length ps) [] and count = ref 0 in
+  let rec by_pointer p k =
+    if k = !count then by_value p 0 else if reps.(k) == p then k else by_pointer p (k + 1)
+  and by_value p k =
+    if k = !count then begin
+      reps.(k) <- p;
+      incr count;
+      k
+    end
+    else if reps.(k) = p then k
+    else by_value p (k + 1)
+  in
+  let slots = Array.of_list (List.map (fun p -> by_pointer p 0) ps) in
+  (Array.sub reps 0 !count, slots)
 
 let holds (l : 'a Lattice.t) env p =
   List.for_all (fun a -> l.Lattice.leq (Cexpr.eval l env a.lhs) (Cexpr.eval l env a.rhs)) p

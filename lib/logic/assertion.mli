@@ -18,7 +18,19 @@ val subst : (Cexpr.sym -> 'a Cexpr.t option) -> 'a t -> 'a t
 (** Simultaneous substitution in both sides of every atom. *)
 
 val equal : 'a Ifc_lattice.Lattice.t -> 'a t -> 'a t -> bool
-(** Equality up to atom normalization, atom order and duplication. *)
+(** Equality up to atom normalization, atom order and duplication. A
+    physically equal pair is equal without normalising either side. *)
+
+val distinct : 'a t list -> 'a t array * int array
+(** [distinct ps] numbers the distinct assertions of [ps] in order of
+    first occurrence: [(reps, slots)], where the [k]-th element of [ps]
+    is [reps.(slots.(k))]. Two assertions are the same when they are
+    physically equal or structurally equal ([=]); the lattice element
+    types of {!Ifc_lattice} are plain data (integers, strings, pairs,
+    variants), so the comparison never raises.
+    Any judgment that is a function of the assertion alone, such as an
+    entailment with fixed other operands, can be decided once per
+    representative. Cost: O(|ps| × |reps|) comparisons, pointers first. *)
 
 val holds : 'a Ifc_lattice.Lattice.t -> (Cexpr.sym -> 'a) -> 'a t -> bool
 (** [holds l env p] evaluates [p] under the valuation [env]. *)

@@ -80,9 +80,14 @@ let check ?(entailer = `Syntactic) ?(interference = `Check) (l : 'a Lattice.t) p
         | _ -> [])
       (Proof.nodes p)
   in
+  (* Each distinct assertion of [pi] is decided once per action (the
+     obligation depends on nothing else), and a failure is reported at
+     every occurrence, in order. *)
   let interference_free span proofs =
     List.iteri
       (fun i pi ->
+        let occurrences = Proof.assertions pi in
+        let reps, slots = Assertion.distinct occurrences in
         List.iteri
           (fun j pj ->
             if i <> j then
@@ -94,17 +99,21 @@ let check ?(entailer = `Syntactic) ?(interference = `Check) (l : 'a Lattice.t) p
                     | None -> Cexpr.Join (Cexpr.Local, Cexpr.Global)
                   in
                   let sigma = write_subst name (Cexpr.Join (written_class, bounds)) in
-                  List.iter
-                    (fun r ->
-                      let r' = Assertion.subst sigma r in
-                      if not (entail (r @ action.Proof.pre) r') then
+                  let preserved =
+                    Array.map
+                      (fun r -> entail (r @ action.Proof.pre) (Assertion.subst sigma r))
+                      reps
+                  in
+                  List.iteri
+                    (fun k r ->
+                      if not preserved.(slots.(k)) then
                         err span "concurrency"
                           (Fmt.str
                              "interference: %a not preserved by %s under %a"
                              (Assertion.pp l) r
                              (Ifc_lang.Pretty.stmt_to_string action.Proof.stmt)
                              (Assertion.pp l) action.Proof.pre))
-                    (Proof.assertions pi))
+                    occurrences)
                 (actions pj))
           proofs)
       proofs

@@ -7,7 +7,9 @@ module Lattice = Ifc_lattice.Lattice
 
 (* Derive [atom <= goal] from hypotheses [hyps], where [atom] is a single
    symbol or constant and [goal] a normalized class expression. Chaining
-   through hypotheses is bounded by a visited set on symbols. *)
+   through hypotheses is bounded by a visited set on symbols. Each
+   hypothesis comes with the symbols of its left side, computed once per
+   [check] call, since every symbol lookup scans them. *)
 let rec derive_atom (l : 'a Lattice.t) hyps visited atom (goal : 'a Cexpr.normal) =
   match atom with
   | `Const c ->
@@ -20,11 +22,10 @@ let rec derive_atom (l : 'a Lattice.t) hyps visited atom (goal : 'a Cexpr.normal
     List.exists (fun s' -> Cexpr.compare_sym s s' = 0) goal.Cexpr.atoms
     || (not (List.mem s visited))
        && List.exists
-            (fun (h : 'a Assertion.atom) ->
-              let lhs_n = Cexpr.normalize l h.Assertion.lhs in
-              (* h : lhs <= rhs with s among lhs's atoms gives s <= rhs. *)
-              List.exists (fun s' -> Cexpr.compare_sym s s' = 0) lhs_n.Cexpr.atoms
-              && derive_expr l hyps (s :: visited) h.Assertion.rhs goal)
+            (fun (lhs_syms, rhs) ->
+              (* lhs <= rhs with s among lhs's symbols gives s <= rhs. *)
+              List.exists (fun s' -> Cexpr.compare_sym s s' = 0) lhs_syms
+              && derive_expr l hyps (s :: visited) rhs goal)
             hyps
 
 (* Derive [e <= goal] by deriving every join component. *)
@@ -34,6 +35,11 @@ and derive_expr l hyps visited e goal =
   && List.for_all (fun s -> derive_atom l hyps visited (`Sym s) goal) n.Cexpr.atoms
 
 let check (l : 'a Lattice.t) hyps goals =
+  let hyps =
+    List.map
+      (fun (h : 'a Assertion.atom) -> (Cexpr.syms h.Assertion.lhs, h.Assertion.rhs))
+      hyps
+  in
   List.for_all
     (fun (g : 'a Assertion.atom) ->
       let goal_n = Cexpr.normalize l g.Assertion.rhs in

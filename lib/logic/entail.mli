@@ -16,7 +16,13 @@
       small problems. *)
 
 val check : 'a Ifc_lattice.Lattice.t -> 'a Assertion.t -> 'a Assertion.t -> bool
-(** Sound, incomplete, fast. *)
+(** Sound, incomplete, fast. The symbols of each hypothesis's left side
+    are collected once per call (they do not depend on the lattice);
+    every symbol lookup then scans those lists, and a hypothesis's right
+    side is normalised only when a lookup follows it. Each goal atom
+    normalises its two sides once. The certificate checker makes about
+    130 calls per ~35-statement cobegin certificate, and they are most of
+    its cost. *)
 
 val decide :
   ?max_valuations:int ->

@@ -223,6 +223,121 @@ let test_tamper_binding_forgery () =
     | Error _ -> ())
 
 (* ------------------------------------------------------------------ *)
+(* Pinned failure lists: a rejected certificate reports every failure in
+   walk order with its exact text, however the checker shares work
+   between occurrences of one assertion. The values were recorded from
+   the checker before it decided each distinct obligation once. *)
+
+(* Replace the pre line of the first assign node under [prefix] whose
+   parent is its consequence wrapper by the wrapper's pre with [global]
+   raised to high. The assign's pre then has {V,L,G} form with a high
+   bound, so its written class is high, and every sibling assertion that
+   bounds the written variable by low fails interference, once per
+   occurrence. *)
+let raise_action_global ~prefix text =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let is_target k =
+    k >= 3
+    && String.starts_with ~prefix:("node " ^ prefix) lines.(k)
+    && String.ends_with ~suffix:": assign" lines.(k)
+    && String.ends_with ~suffix:": consequence" lines.(k - 3)
+  in
+  let rec find k =
+    if k >= Array.length lines then
+      Alcotest.failf "fixture drift: no wrapped assign under %s" prefix
+    else if is_target k then k
+    else find (k + 1)
+  in
+  let k = find 0 in
+  lines.(k + 1) <-
+    replace_first ~sub:"global <= const(low)" ~by:"global <= const(high)"
+      lines.(k - 2);
+  String.concat "\n" (Array.to_list lines)
+
+(* Consecutive failures at one path under one rule, with their count. *)
+let failure_runs fs =
+  List.fold_right
+    (fun (f : Checker.failure) acc ->
+      match acc with
+      | (path, rule, n) :: rest
+        when String.equal path f.Checker.path && String.equal rule f.Checker.rule ->
+        (path, rule, n + 1) :: rest
+      | _ -> (f.Checker.path, f.Checker.rule, 1) :: acc)
+    fs []
+
+let failures_md5 fs =
+  List.map
+    (fun (f : Checker.failure) ->
+      String.concat "\t" [ f.Checker.path; f.Checker.rule; f.Checker.reason ])
+    fs
+  |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
+let check_pinned_failures name program text ~runs ~distinct ~md5 =
+  match Cert.parse text with
+  | Error e -> Alcotest.failf "%s: tampered file should parse: %a" name Cert.pp_parse_error e
+  | Ok cert -> (
+    match Checker.check cert program with
+    | Ok () -> Alcotest.failf "%s: tampered certificate must be rejected" name
+    | Error fs ->
+      Alcotest.(check (list (triple string string int)))
+        (name ^ ": paths and rules, in order") runs (failure_runs fs);
+      check_int (name ^ ": failure count")
+        (List.fold_left (fun a (_, _, n) -> a + n) 0 runs)
+        (List.length fs);
+      check_int (name ^ ": distinct reasons") distinct
+        (List.length
+           (List.sort_uniq String.compare
+              (List.map (fun (f : Checker.failure) -> f.Checker.reason) fs)));
+      check_string (name ^ ": every path, rule and reason") md5 (failures_md5 fs))
+
+let test_pinned_fig3_failures () =
+  let program = Paper.fig3 in
+  let text = Cert.to_string (emit_exn (all_low program) program) in
+  (* [m := 1] in the second process, against the 55 occurrences of
+     assertions bounding m by low in the other two. *)
+  check_pinned_failures "fig3" program
+    (raise_action_global ~prefix:"0.1." text)
+    ~runs:[ ("0", "concurrency", 55); ("0.1.1.0", "assign", 1) ]
+    ~distinct:9 ~md5:"48ab00e9d6ee96ecdfa8c55e54662c7d"
+
+(* A generated program (eight integer variables, two semaphores, size
+   30) with nested cobegins, at the least binding that holds s at high. *)
+let gen_cobegin =
+  parse_program_exn
+    {|var a, b, c, d, e, f, g, h : integer;
+    s, t : semaphore initially(0);
+cobegin
+  begin
+    while b > 1 do begin signal(s); e := b end od;
+    begin h := e * e; h := 0 <= b; signal(s) end;
+    if c * h > 3 then d := f + 1 fi;
+    cobegin h := a - h || e := 0 coend
+  end
+  ||
+  cobegin
+    begin
+      signal(s);
+      if c <> 2 then signal(t) fi;
+      d := e < a;
+      cobegin e := h + e || f := 2 * a coend
+    end
+    ||
+    if h > 3 then a := e else begin f := a; skip end fi
+    ||
+    begin g := f; begin signal(t); h := f - g end end
+  coend
+coend|}
+
+let test_pinned_generated_failures () =
+  let binding = Binding.make two ~default:"low" [ ("s", "high") ] in
+  let text = Cert.to_string (emit_exn binding gen_cobegin) in
+  check_pinned_failures "generated" gen_cobegin
+    (raise_action_global ~prefix:"0.1." text)
+    ~runs:
+      [ ("0", "concurrency", 45); ("0.1", "concurrency", 30); ("0.1.0.2.0", "assign", 1) ]
+    ~distinct:13 ~md5:"bacc1f5eb63c2347785330d8319ce0ac"
+
+(* ------------------------------------------------------------------ *)
 (* Generator/checker agreement on random programs *)
 
 let arb_bound = Qcheck_arbitrary.bound_program ~max_size:14 two
@@ -325,6 +440,9 @@ let suite =
         test_tamper_digest_repoint;
       Alcotest.test_case "tamper: binding forgery" `Quick
         test_tamper_binding_forgery;
+      Alcotest.test_case "pinned failures: fig3" `Quick test_pinned_fig3_failures;
+      Alcotest.test_case "pinned failures: generated cobegin" `Quick
+        test_pinned_generated_failures;
       decide_matches_cert_accept;
       reemission_canonical;
       Alcotest.test_case "paper programs emit-and-check" `Quick

@@ -351,6 +351,58 @@ let test_spec_roundtrip () =
          (fun (name, _) -> List.mem name [ "mls"; "extended mls"; "powerset-4" ])
          stringified)
 
+(* A scheme parsed from its own spec text answers every operation as the
+   original does, on the shared names and on fresh copies of them. A name
+   that is not an element (a non-canonical spelling included) is below
+   and equal to nothing, and join and meet refuse it. *)
+let test_spec_parsed_agrees () =
+  let copy s = Bytes.to_string (Bytes.of_string s) in
+  List.iter
+    (fun (name, (l : string Lattice.t)) ->
+      match Spec.parse (Spec.to_text l) with
+      | Error e -> Alcotest.failf "%s: reparse failed: %s" name e
+      | Ok p ->
+        check_string (name ^ ": bottom") l.bottom p.bottom;
+        check_string (name ^ ": top") l.top p.top;
+        List.iter
+          (fun x ->
+            (match p.of_string (copy x) with
+            | Ok y -> check_string (name ^ ": of_string") x y
+            | Error e -> Alcotest.fail e);
+            List.iter
+              (fun y ->
+                List.iter
+                  (fun (x', y') ->
+                    check (name ^ ": leq") (l.leq x y) (p.leq x' y');
+                    check (name ^ ": equal") (l.equal x y) (p.equal x' y');
+                    check_string (name ^ ": join") (l.join x y) (p.join x' y');
+                    check_string (name ^ ": meet") (l.meet x y) (p.meet x' y'))
+                  [ (x, y); (copy x, copy y) ])
+              l.elements)
+          l.elements;
+        List.iter
+          (fun stranger ->
+            check (name ^ ": stranger of_string") true
+              (Result.is_error (p.of_string stranger));
+            check (name ^ ": stranger equal to itself") false (p.equal stranger stranger);
+            List.iter
+              (fun x ->
+                check (name ^ ": stranger leq") false (p.leq stranger x);
+                check (name ^ ": leq stranger") false (p.leq x stranger);
+                check (name ^ ": stranger equal") false (p.equal stranger x);
+                check (name ^ ": equal stranger") false (p.equal x stranger);
+                List.iter
+                  (fun op ->
+                    match op stranger x with
+                    | _ -> Alcotest.failf "%s: join/meet accepted %S" name stranger
+                    | exception Invalid_argument _ -> ())
+                  [ p.join; p.meet; Fun.flip p.join; Fun.flip p.meet ])
+              l.elements)
+          [ "no-such-class"; "secret:{EUR,NUC}" ])
+    (List.filter
+       (fun (name, _) -> List.mem name [ "two"; "three"; "four"; "mls"; "powerset-4" ])
+       stringified)
+
 let test_spec_errors () =
   let cases =
     [
@@ -365,6 +417,43 @@ let test_spec_errors () =
   List.iter
     (fun (name, text) -> check name true (Result.is_error (Spec.parse text)))
     cases
+
+(* The exact message of every structural error, as recorded before
+   [make_from_order] and the spec closure moved to index matrices. *)
+let test_spec_error_messages () =
+  let message = function Ok _ -> "accepted" | Error e -> e in
+  List.iter
+    (fun (text, expected) -> check_string text expected (message (Spec.parse text)))
+    [
+      ("lattice l\nelements: a b c\norder: a < b, a < c", "l: no least upper bound for b and c");
+      ("lattice l\nelements: a b c\norder: b < a, c < a", "l: no greatest lower bound for b and c");
+      ( "lattice l\nelements: a b c d\norder: a < c, a < d, b < c, b < d",
+        "l: no least upper bound for a and b" );
+      ("lattice l\nelements: a b\norder: a < b, b < a", "l: order cycle between a and b");
+      ("lattice l\nelements: a b c\norder: a < b < c < a", "l: order cycle between a and b");
+      ("lattice l\nelements: a b\norder: a < z", "l: order mentions undeclared element in a < z");
+      ("lattice l\norder: a < b", "l: no elements declared");
+      ("lattice l\nelements: a\nfoo: bar", "line 3: unrecognised directive \"foo: bar\"");
+      ("lattice l\nelements: a a b\norder: a < b", "l: duplicate element names");
+      ("lattice l\nelements: a b\norder: a", "line 3: expected a < b [< c ...] in order clause");
+    ];
+  let elements = [ "a"; "b" ] in
+  List.iter
+    (fun (what, leq, expected) ->
+      check_string what expected
+        (message (Lattice.make_from_order ~name:"m" ~elements ~leq ~to_string:Fun.id)))
+    [
+      ("irreflexive", (fun x y -> x < y), "m: order is not reflexive");
+      ("preorder", (fun _ _ -> true), "accepted");
+    ];
+  check_string "not transitive" "m: order is not transitive"
+    (message
+       (Lattice.make_from_order ~name:"m" ~elements:[ "a"; "b"; "c" ]
+          ~leq:(fun x y -> x = y || (x, y) = ("a", "b") || (x, y) = ("b", "c"))
+          ~to_string:Fun.id));
+  check_string "empty carrier" "m: empty carrier"
+    (message
+       (Lattice.make_from_order ~name:"m" ~elements:[] ~leq:( = ) ~to_string:Fun.id))
 
 let test_spec_single_element () =
   match Spec.parse "lattice one\nelements: only" with
@@ -469,7 +558,9 @@ let suite =
         test_laws_catch_broken_lattice;
       Alcotest.test_case "spec diamond" `Quick test_spec_diamond;
       Alcotest.test_case "spec roundtrip" `Quick test_spec_roundtrip;
+      Alcotest.test_case "spec-parsed scheme agrees" `Quick test_spec_parsed_agrees;
       Alcotest.test_case "spec errors" `Quick test_spec_errors;
+      Alcotest.test_case "spec error messages" `Quick test_spec_error_messages;
       Alcotest.test_case "spec single element" `Quick test_spec_single_element;
       Alcotest.test_case "covers and height" `Quick test_covers_and_height;
       Alcotest.test_case "dual (integrity)" `Quick test_dual;

@@ -202,6 +202,134 @@ let qcheck_entail_sound =
       else true)
   |> QCheck_alcotest.to_alcotest
 
+(* The syntactic derivation as it stood before [Entail.check] normalised
+   each hypothesis once per call, kept verbatim as the reference the
+   current procedure must agree with on every input. *)
+module Reference_entail = struct
+  let rec derive_atom (l : 'a Lattice.t) hyps visited atom (goal : 'a Cexpr.normal) =
+    match atom with
+    | `Const c -> l.Lattice.leq c goal.Cexpr.const
+    | `Sym s ->
+      List.exists (fun s' -> Cexpr.compare_sym s s' = 0) goal.Cexpr.atoms
+      || (not (List.mem s visited))
+         && List.exists
+              (fun (h : 'a Assertion.atom) ->
+                let lhs_n = Cexpr.normalize l h.Assertion.lhs in
+                List.exists (fun s' -> Cexpr.compare_sym s s' = 0) lhs_n.Cexpr.atoms
+                && derive_expr l hyps (s :: visited) h.Assertion.rhs goal)
+              hyps
+
+  and derive_expr l hyps visited e goal =
+    let n = Cexpr.normalize l e in
+    derive_atom l hyps visited (`Const n.Cexpr.const) goal
+    && List.for_all (fun s -> derive_atom l hyps visited (`Sym s) goal) n.Cexpr.atoms
+
+  let check (l : 'a Lattice.t) hyps goals =
+    List.for_all
+      (fun (g : 'a Assertion.atom) ->
+        let goal_n = Cexpr.normalize l g.Assertion.rhs in
+        derive_expr l hyps [] g.Assertion.lhs goal_n)
+      goals
+end
+
+(* Random hypotheses and goals over a lattice's classes: constants on
+   either side of an atom, chains and cycles among symbols, and
+   duplicated hypotheses. *)
+let qcheck_entail_matches_reference name (l : 'a Lattice.t) =
+  let open QCheck.Gen in
+  let elements = Array.of_list l.Lattice.elements in
+  let sym = oneofl [ Cexpr.Cls "x"; Cexpr.Cls "y"; Cexpr.Cls "z"; Cexpr.Local; Cexpr.Global ] in
+  let leaf = frequency [ (3, sym); (2, map (fun i -> Cexpr.Const elements.(i)) (int_bound (Array.length elements - 1))) ] in
+  let cexpr =
+    sized_size (int_bound 3)
+      (fix (fun self n ->
+           if n <= 0 then leaf
+           else frequency [ (1, leaf); (2, map2 (fun a b -> Cexpr.Join (a, b)) (self (n - 1)) (self (n - 1))) ]))
+  in
+  let atom_gen = map2 atom cexpr cexpr in
+  let cycle = map2 (fun a b -> [ atom a b; atom b a ]) sym sym in
+  let hyps =
+    map3
+      (fun base cycles dup ->
+        let hs = base @ List.concat cycles in
+        match (hs, dup) with
+        | [], _ -> hs
+        | _, k -> hs @ [ List.nth hs (k mod List.length hs) ])
+      (list_size (int_bound 6) atom_gen) (list_size (int_bound 2) cycle) nat
+  in
+  let goals = list_size (int_range 1 3) atom_gen in
+  QCheck.Test.make ~name:("entailment matches the reference derivation on " ^ name) ~count:400
+    (QCheck.make (pair hyps goals))
+    (fun (hyps, goals) ->
+      Bool.equal (Entail.check l hyps goals) (Reference_entail.check l hyps goals))
+  |> QCheck_alcotest.to_alcotest
+
+(* Pinned error lists: a failing Theorem-1 proof reports every error in
+   walk order with its exact text; a failing emit reports their count as
+   its [checks]. Recorded before Check decided each distinct
+   interference obligation once. *)
+let check_pinned_errors name (proof : 'a Proof.t) (l : 'a Lattice.t) ~count ~interference ~md5 =
+  match Check.check l proof with
+  | Ok () -> Alcotest.failf "%s: expected errors" name
+  | Error es ->
+    Alcotest.(check int) (name ^ ": count") count (List.length es);
+    Alcotest.(check int) (name ^ ": interference errors") interference
+      (List.length (List.filter (fun (e : Check.error) -> e.Check.rule = "concurrency") es));
+    Alcotest.(check string) (name ^ ": every span, rule and reason") md5
+      (Digest.to_hex
+         (Digest.string
+            (String.concat "\n" (List.map (fun e -> Fmt.str "%a" Check.pp_error e) es))))
+
+let test_pinned_check_errors () =
+  let parse_exn src =
+    match Parser.parse_program src with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "parse error: %a" Parser.pp_error e
+  in
+  let fig3 = Ifc_core.Paper.fig3 in
+  check_pinned_errors "fig3 leak"
+    (Generate.theorem1 (binding [ ("x", high) ]) fig3.Ast.body)
+    two ~count:6 ~interference:0 ~md5:"50fcd47cf4f4272f0e4e235ac58b3ea1";
+  let generated =
+    parse_exn
+      {|var a, b, c, d, e, f, g : integer;
+    s, t : semaphore initially(0);
+cobegin
+  begin
+    signal(s); signal(s); e := 0 - g; cobegin f := 0 * c || signal(t) coend
+  end
+  ||
+  cobegin begin e := f * e; e := d + g end || e := f <= d coend
+  ||
+  while c = 2 do if g > 3 then wait(s) else d := d fi od
+  ||
+  if e <> 2 then begin signal(s); f := b + 1 end
+  else if a <> 2 then g := c + 3 else e := -0 fi
+  fi
+coend|}
+  in
+  let b =
+    binding
+      [ ("b", high); ("c", high); ("d", high); ("f", high); ("g", high) ]
+  in
+  check_pinned_errors "generated cobegin"
+    (Generate.theorem1 b generated.Ast.body)
+    two ~count:11 ~interference:6 ~md5:"6e45a4a44f3efeb46577576c167403cb";
+  (* The failing emit reports the same count as its checks. *)
+  let names = Lattice.stringify two in
+  let job =
+    Ifc_pipeline.Job.make ~id:0 ~name:"generated" ~lattice:names
+      ~binding:
+        (Binding.make names
+           (List.map (fun v -> (v, "high")) [ "b"; "c"; "d"; "f"; "g" ]))
+      ~analyses:[ Ifc_pipeline.Job.Cert ] generated
+  in
+  match (Ifc_pipeline.Job.run job).Ifc_pipeline.Job.outcome with
+  | Ok [ r ] ->
+    check "emit fails" false r.Ifc_pipeline.Job.verdict;
+    Alcotest.(check int) "emit checks" 11 r.Ifc_pipeline.Job.checks
+  | _ -> Alcotest.fail "expected one cert result"
+
 (* ------------------------------------------------------------------ *)
 (* Proof checker on hand-built proofs *)
 
@@ -572,6 +700,9 @@ let suite =
       Alcotest.test_case "decide complete" `Quick test_decide_complete;
       Alcotest.test_case "decide limit" `Quick test_decide_limit;
       qcheck_entail_sound;
+      qcheck_entail_matches_reference "two" (Lattice.stringify Chain.two);
+      qcheck_entail_matches_reference "mls" (Lattice.stringify Ifc_lattice.Mls.standard);
+      Alcotest.test_case "pinned check errors" `Quick test_pinned_check_errors;
       Alcotest.test_case "5.2 manual proof checks" `Quick test_check_52_manual_proof;
       Alcotest.test_case "checker rejects bogus axiom" `Quick
         test_check_rejects_bogus_axiom;
