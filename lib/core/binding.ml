@@ -73,6 +73,8 @@ let rec expr_class b = function
   | Ast.Unop (_, e) -> expr_class b e
   | Ast.Binop (_, e1, e2) -> b.lattice.Lattice.join (expr_class b e1) (expr_class b e2)
 
+let default b = b.default
+
 let bindings b = Smap.bindings b.map
 
 let names b = Smap.keys b.map

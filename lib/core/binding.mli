@@ -39,6 +39,9 @@ val expr_class : 'a t -> Ifc_lang.Ast.expr -> 'a
 (** [expr_class b e] is [sbind(e)]: constants are [low], [e1 op e2] is
     [sbind(e1) ⊕ sbind(e2)] (Definitions 2 and 3). *)
 
+val default : 'a t -> 'a
+(** [default b] is the class of every variable [b] does not list. *)
+
 val bindings : 'a t -> (string * 'a) list
 (** All explicit bindings, sorted by name. *)
 

@@ -1,5 +1,8 @@
-(* The Concurrent Flow Mechanism (Figure 2). One post-order pass computes
-   mod, flow and the certification checks of every construct. *)
+(* The Concurrent Flow Mechanism (Figure 2), written once. [combine] is
+   the table: one construct's mod, flow and cert from its children's,
+   over a class algebra. [fold] is the single post-order pass that
+   computes it. CFM proper is the concrete algebra; the incremental
+   certifier and module summaries bring their own. *)
 
 module Lattice = Ifc_lattice.Lattice
 module Extended = Ifc_lattice.Extended
@@ -23,6 +26,19 @@ and rule =
   | While_global
   | Seq_global of int
 
+type ('c, 'm) algebra = {
+  bottom : 'c;
+  top : 'm;
+  src : string -> 'c;
+  dst : string -> 'm;
+  named : string -> 'c;
+  join : 'c -> 'c -> 'c;
+  meet : 'm -> 'm -> 'm;
+  check : Ifc_lang.Loc.span -> rule -> 'c Extended.elt -> 'm -> bool;
+}
+
+type ('c, 'm) summary = { mod_ : 'm; flow : 'c Extended.elt; cert : bool }
+
 type 'a result = {
   certified : bool;
   mod_ : 'a;
@@ -40,173 +56,155 @@ let rule_name = function
   | While_global -> "while: flow(S) <= mod(S1)"
   | Seq_global i -> Printf.sprintf "begin: flow(S1..S%d) <= mod(S%d)" i (i + 1)
 
-(* Join of two extended-flow values: nil is the identity of ⊕ on the
-   extended scheme (Definition 4). *)
-let flow_join l f1 f2 =
-  match (f1, f2) with
-  | Extended.Nil, f | f, Extended.Nil -> f
-  | Extended.El a, Extended.El b -> Extended.El (l.Lattice.join a b)
+(* sbind(e): constants are the bottom class, and [e1 op e2] joins its
+   operands' classes (Definitions 2 and 3). *)
+let rec expr_class alg = function
+  | Ast.Int _ | Ast.Bool _ -> alg.bottom
+  | Ast.Var x -> alg.src x
+  | Ast.Index (a, i) -> alg.join (alg.src a) (expr_class alg i)
+  | Ast.Unop (_, e) -> expr_class alg e
+  | Ast.Binop (_, e1, e2) -> alg.join (expr_class alg e1) (expr_class alg e2)
 
-(* The core traversal is written once, parameterised by how checks are
-   recorded, so [analyze] (full diagnostics) and [certified] (boolean only)
-   cannot drift apart. [record] both logs the check (if it cares) and
-   returns its outcome. *)
-let traverse binding ~self_check ~record stmt =
-  let l = Binding.lattice binding in
-  (* Returns (mod, flow, cert). *)
-  let rec go (s : Ast.stmt) =
-    match s.node with
-    | Ast.Skip -> (l.Lattice.top, Extended.Nil, true)
-    | Ast.Assign (x, e) ->
-      let target = Binding.sbind binding x in
-      let source = Binding.expr_class binding e in
-      let ok = record s.span Assign_direct (Extended.El source) target in
-      (target, Extended.Nil, ok)
-    | Ast.Declassify (x, _, cls) ->
-      (* The named class replaces the expression's class: the escape
-         hatch for data. The target must still clear the named class, and
-         contexts are enforced by the surrounding if/while/seq checks. An
-         unresolvable class name conservatively fails as top. *)
-      let target = Binding.sbind binding x in
-      let source =
-        match l.Lattice.of_string cls with Ok c -> c | Error _ -> l.Lattice.top
-      in
-      let ok = record s.span Declassify_direct (Extended.El source) target in
-      (target, Extended.Nil, ok)
-    | Ast.Store (a, i, e) ->
-      (* Denning's array rule: the index is part of the stored
-         information — which slot changed reveals it. *)
-      let target = Binding.sbind binding a in
-      let source =
-        l.Lattice.join (Binding.expr_class binding i) (Binding.expr_class binding e)
-      in
-      let ok = record s.span Store_direct (Extended.El source) target in
-      (target, Extended.Nil, ok)
-    | Ast.Wait sem ->
-      (* mod = flow = sbind(sem); cert = true. The conditional delay of a
-         wait is a global flow of the semaphore's class. *)
-      let c = Binding.sbind binding sem in
-      (c, Extended.El c, true)
-    | Ast.Signal sem ->
-      let c = Binding.sbind binding sem in
-      (c, Extended.Nil, true)
-    | Ast.Send (chan, e) ->
-      (* A send is an assignment into the channel that also signals: the
-         payload's class must flow to the channel's class, and — like a
-         signal — it produces no global flow of its own. mod = sbind(c)
-         means the enclosing if/while/seq checks force every potential
-         sender's context flow below the channel's class, so sbind(c)
-         dominates the global flow of every potential sender (the join the
-         recv rule needs is paid for here). *)
-      let c = Binding.sbind binding chan in
-      let source = Binding.expr_class binding e in
-      let ok = record s.span Send_direct (Extended.El source) c in
-      (c, Extended.Nil, ok)
-    | Ast.Recv (chan, x) ->
-      (* A recv is a wait whose class is the channel's — the conditional
-         delay is a global flow of sbind(c) — followed by an assignment of
-         the delivered message (class sbind(c), which bounds every
-         sender's payload and context) into x. *)
-      let c = Binding.sbind binding chan in
-      let target = Binding.sbind binding x in
-      let ok = record s.span Recv_direct (Extended.El c) target in
-      (l.Lattice.meet c target, Extended.El c, ok)
-    | Ast.If (cond, then_, else_) ->
-      let m1, f1, c1 = go then_ in
-      let m2, f2, c2 = go else_ in
-      let e_class = Binding.expr_class binding cond in
-      let mod_ = l.Lattice.meet m1 m2 in
-      (* flow(S) = nil when both branches are flow-free; otherwise the
-         branch flows joined with sbind(e) — escaping global flows reveal
-         the condition. *)
-      let flow =
-        match flow_join l f1 f2 with
-        | Extended.Nil -> Extended.Nil
-        | Extended.El f -> Extended.El (l.Lattice.join f e_class)
-      in
-      let local_ok = record s.span If_local (Extended.El e_class) mod_ in
-      (mod_, flow, c1 && c2 && local_ok)
-    | Ast.While (cond, body) ->
-      let m1, f1, c1 = go body in
-      let e_class = Binding.expr_class binding cond in
-      (* flow(S) = flow(S1) ⊕ sbind(e): a loop always produces a global
-         flow — its termination is conditional on [e]. *)
-      let flow =
-        Extended.El (l.Lattice.join (Extended.get ~default:l.Lattice.bottom f1) e_class)
-      in
-      let global_ok = record s.span While_global flow m1 in
-      (m1, flow, c1 && global_ok)
-    | Ast.Seq stmts ->
-      (* flow(Sj) <= mod(Si) for all j < i is equivalent to checking the
-         running prefix join (+)_{j<i} flow(Sj) against mod(Si) — which
-         keeps the whole pass linear, the paper's §6 complexity claim.
-         Under ~self_check (the literal j <= i reading) the component's
-         own flow joins the prefix before its check. *)
-      let _, rev_results, ok =
-        List.fold_left
-          (fun (i, acc, ok) s' ->
-            let m, f, c = go s' in
-            (i + 1, (s', i, m, f, c) :: acc, ok && c))
-          (0, [], true) stmts
-      in
-      let results = List.rev rev_results in
-      let mod_ = Lattice.meets l (List.map (fun (_, _, m, _, _) -> m) results) in
-      let flow =
-        List.fold_left (fun acc (_, _, _, f, _) -> flow_join l acc f) Extended.Nil results
-      in
-      let _, global_ok =
-        List.fold_left
-          (fun (prefix, ok_acc) (si, i, mi, fi, _) ->
-            let to_check = if self_check then flow_join l prefix fi else prefix in
-            let ok =
-              if i = 0 && not self_check then true
-              else record si.Ast.span (Seq_global i) to_check mi
-            in
-            (flow_join l prefix fi, ok && ok_acc))
-          (Extended.Nil, true) results
-      in
-      (mod_, flow, ok && global_ok)
-    | Ast.Cobegin branches ->
-      (* Parallel composition needs no extra check: branches execute
-         independently (§4.2). *)
-      let results = List.map go branches in
-      let mod_ = Lattice.meets l (List.map (fun (m, _, _) -> m) results) in
-      let flow =
-        List.fold_left (fun acc (_, f, _) -> flow_join l acc f) Extended.Nil results
-      in
-      (mod_, flow, List.for_all (fun (_, _, c) -> c) results)
-  in
+(* A construct whose only check is a direct flow [source <= target]:
+   mod is the target and there is no global flow. *)
+let direct alg (s : Ast.stmt) rule source target =
+  let ok = alg.check s.span rule (Extended.El source) target in
+  { mod_ = target; flow = Extended.Nil; cert = ok }
+
+(* Parallel composition needs no extra check: branches execute
+   independently (§4.2). mod is the meet and flow the join of the
+   branches'. *)
+let rec cobegin alg mod_ flow cert = function
+  | [] -> { mod_; flow; cert }
+  | (k : (_, _) summary) :: ks ->
+    let flow = Extended.join alg.join flow k.flow in
+    cobegin alg (alg.meet mod_ k.mod_) flow (cert && k.cert) ks
+
+(* Sequential composition: mod, flow and cert as for cobegin, plus, for
+   each component Si, the check flow(Sj) <= mod(Si) for all j < i. That
+   is equivalent to checking the running prefix join (+)_{j<i} flow(Sj)
+   against mod(Si), which keeps the whole pass linear: the paper's §6
+   complexity claim. Under ~self_check (the literal j <= i reading) the
+   component's own flow joins the prefix before its check. The block's
+   flow is the final prefix. One pass over the components computes it
+   all. *)
+let rec seq alg ~self_check i mod_ prefix cert (stmts : Ast.stmt list) kids =
+  match (stmts, kids) with
+  | [], [] -> { mod_; flow = prefix; cert }
+  | s :: ss, (k : (_, _) summary) :: ks ->
+    let next = Extended.join alg.join prefix k.flow in
+    let ok =
+      if self_check then alg.check s.span (Seq_global i) next k.mod_
+      else i = 0 || alg.check s.span (Seq_global i) prefix k.mod_
+    in
+    seq alg ~self_check (i + 1) (alg.meet mod_ k.mod_) next (cert && k.cert && ok) ss ks
+  | _ -> invalid_arg "Cfm.combine: one summary per component"
+
+let combine (alg : ('c, 'm) algebra) ~self_check (s : Ast.stmt)
+    (kids : ('c, 'm) summary list) : ('c, 'm) summary =
+  match (s.node, kids) with
+  | Ast.Skip, [] -> { mod_ = alg.top; flow = Extended.Nil; cert = true }
+  | Ast.Assign (x, e), [] -> direct alg s Assign_direct (expr_class alg e) (alg.dst x)
+  | Ast.Declassify (x, _, cls), [] ->
+    (* The named class replaces the expression's class: the escape hatch
+       for data. The target must still clear the named class, and
+       contexts are enforced by the surrounding if/while/seq checks. *)
+    direct alg s Declassify_direct (alg.named cls) (alg.dst x)
+  | Ast.Store (a, i, e), [] ->
+    (* Denning's array rule: the index is part of the stored
+       information — which slot changed reveals it. *)
+    direct alg s Store_direct (alg.join (expr_class alg i) (expr_class alg e)) (alg.dst a)
+  | Ast.Wait sem, [] ->
+    (* mod = flow = sbind(sem); cert = true. The conditional delay of a
+       wait is a global flow of the semaphore's class. *)
+    { mod_ = alg.dst sem; flow = Extended.El (alg.src sem); cert = true }
+  | Ast.Signal sem, [] -> { mod_ = alg.dst sem; flow = Extended.Nil; cert = true }
+  | Ast.Send (chan, e), [] ->
+    (* A send is an assignment into the channel that also signals: the
+       payload's class must flow to the channel's class, and — like a
+       signal — it produces no global flow of its own. mod = sbind(c)
+       means the enclosing if/while/seq checks force every potential
+       sender's context flow below the channel's class, so sbind(c)
+       dominates the global flow of every potential sender (the join the
+       recv rule needs is paid for here). *)
+    direct alg s Send_direct (expr_class alg e) (alg.dst chan)
+  | Ast.Recv (chan, x), [] ->
+    (* A recv is a wait whose class is the channel's — the conditional
+       delay is a global flow of sbind(c) — followed by an assignment of
+       the delivered message (class sbind(c), which bounds every
+       sender's payload and context) into x. *)
+    let c = alg.src chan in
+    let target = alg.dst x in
+    let ok = alg.check s.span Recv_direct (Extended.El c) target in
+    { mod_ = alg.meet (alg.dst chan) target; flow = Extended.El c; cert = ok }
+  | Ast.If (cond, _, _), [ s1; s2 ] ->
+    let e = expr_class alg cond in
+    let mod_ = alg.meet s1.mod_ s2.mod_ in
+    (* flow(S) = nil when both branches are flow-free; otherwise the
+       branch flows joined with sbind(e) — escaping global flows reveal
+       the condition. *)
+    let flow =
+      match Extended.join alg.join s1.flow s2.flow with
+      | Extended.Nil -> Extended.Nil
+      | Extended.El f -> Extended.El (alg.join f e)
+    in
+    let ok = alg.check s.span If_local (Extended.El e) mod_ in
+    { mod_; flow; cert = s1.cert && s2.cert && ok }
+  | Ast.While (cond, _), [ s1 ] ->
+    (* flow(S) = flow(S1) ⊕ sbind(e): a loop always produces a global
+       flow — its termination is conditional on [e]. *)
+    let flow =
+      Extended.El
+        (alg.join (Extended.get ~default:alg.bottom s1.flow) (expr_class alg cond))
+    in
+    let ok = alg.check s.span While_global flow s1.mod_ in
+    { mod_ = s1.mod_; flow; cert = s1.cert && ok }
+  | Ast.Seq stmts, _ -> seq alg ~self_check 0 alg.top Extended.Nil true stmts kids
+  | Ast.Cobegin _, _ -> cobegin alg alg.top Extended.Nil true kids
+  | _ -> invalid_arg "Cfm.combine: child count does not match the construct"
+
+let fold alg ~self_check stmt =
+  let rec go s = combine alg ~self_check s (List.map go (Ast.children s)) in
   go stmt
 
 let check_outcome l lhs rhs =
   match lhs with Extended.Nil -> true | Extended.El f -> l.Lattice.leq f rhs
 
+(* The concrete algebra: classes are the binding's, and a check is
+   decided on the spot. An unresolvable declassify class conservatively
+   fails as top. *)
+let algebra binding =
+  let l = Binding.lattice binding in
+  {
+    bottom = l.Lattice.bottom;
+    top = l.Lattice.top;
+    src = Binding.sbind binding;
+    dst = Binding.sbind binding;
+    named =
+      (fun cls ->
+        match l.Lattice.of_string cls with Ok c -> c | Error _ -> l.Lattice.top);
+    join = l.Lattice.join;
+    meet = l.Lattice.meet;
+    check = (fun _ _ lhs rhs -> check_outcome l lhs rhs);
+  }
+
 let analyze ?(self_check = false) binding stmt =
   let l = Binding.lattice binding in
   let checks = ref [] in
-  let record span rule lhs rhs =
+  let check span rule lhs rhs =
     let ok = check_outcome l lhs rhs in
     checks := { span; rule; lhs; rhs; ok } :: !checks;
     ok
   in
-  let mod_, flow, certified = traverse binding ~self_check ~record stmt in
-  { certified; mod_; flow; checks = List.rev !checks }
+  let s = fold { (algebra binding) with check } ~self_check stmt in
+  { certified = s.cert; mod_ = s.mod_; flow = s.flow; checks = List.rev !checks }
 
 let certified ?(self_check = false) binding stmt =
-  let l = Binding.lattice binding in
-  let record _span _rule lhs rhs = check_outcome l lhs rhs in
-  let _, _, cert = traverse binding ~self_check ~record stmt in
-  cert
+  (fold (algebra binding) ~self_check stmt).cert
 
-let mod_of binding stmt =
-  let record _ _ _ _ = true in
-  let mod_, _, _ = traverse binding ~self_check:false ~record stmt in
-  mod_
+let mod_of binding stmt = (fold (algebra binding) ~self_check:false stmt).mod_
 
-let flow_of binding stmt =
-  let record _ _ _ _ = true in
-  let _, flow, _ = traverse binding ~self_check:false ~record stmt in
-  flow
+let flow_of binding stmt = (fold (algebra binding) ~self_check:false stmt).flow
 
 let failed_checks r = List.filter (fun c -> not c.ok) r.checks
 

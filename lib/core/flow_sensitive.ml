@@ -40,6 +40,7 @@ let state_equal (l : 'a Lattice.t) a b =
 let analyze binding stmt =
   let l = Binding.lattice binding in
   let join = l.Lattice.join in
+  let alg = Cfm.algebra binding in
   let ok = ref true in
   (* The conservative cobegin rule: every read must currently be at or
      below its binding, the context must be bounded by the statement's
@@ -56,15 +57,15 @@ let analyze binding stmt =
             (Binding.sbind binding v))
         reads
     in
-    let mod_s = Cfm.mod_of binding s in
-    let context_ok = l.Lattice.leq (join pc st.global) mod_s in
-    if not (entry_ok && context_ok && Cfm.certified binding s) then ok := false;
+    let cfm = Cfm.fold alg ~self_check:false s in
+    let context_ok = l.Lattice.leq (join pc st.global) cfm.Cfm.mod_ in
+    if not (entry_ok && context_ok && cfm.Cfm.cert) then ok := false;
     let classes =
       Sset.fold
         (fun v classes -> Smap.add v (Binding.sbind binding v) classes)
         (Ifc_lang.Vars.modified s) st.classes
     in
-    let flow = Extended.get ~default:l.Lattice.bottom (Cfm.flow_of binding s) in
+    let flow = Extended.get ~default:l.Lattice.bottom cfm.Cfm.flow in
     { classes; global = join st.global flow }
   in
   let rec go ~pc st (s : Ast.stmt) =

@@ -104,8 +104,11 @@ let constraints ?(self_check = false) stmt =
       emit s.span Cfm.While_global flow_atoms m1;
       (m1, Some flow_atoms)
     | Ast.Seq stmts ->
-      (* Prefix-join form, mirroring Cfm.traverse: one constraint per
-         component bounding the join of all earlier flows. *)
+      (* Prefix-join form, as in Cfm.combine: one constraint per
+         component bounding the join of all earlier flows. Unlike
+         Cfm.fold, a component's constraint is emitted before the next
+         component is visited, and [solve] reports the first violated
+         constraint in that order, so this walk stays separate. *)
       let _, _, mod_set, flow =
         List.fold_left
           (fun (i, prefix, mods, flow) s' ->

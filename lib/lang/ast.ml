@@ -172,6 +172,17 @@ end
     added later by {!Wellformed.infer_decls}. *)
 let program ?(decls = []) body = { decls; body }
 
+(** [children s] is [s]'s immediate sub-statements, in order: the two
+    arms of an [if], a loop body, the components of a block or
+    [cobegin], and none for the other forms. Post-order passes such as
+    Figure 2's fold recurse through it. *)
+let children s =
+  match s.node with
+  | Skip | Assign _ | Declassify _ | Store _ | Wait _ | Signal _ | Send _ | Recv _ -> []
+  | If (_, then_, else_) -> [ then_; else_ ]
+  | While (_, body) -> [ body ]
+  | Seq ss | Cobegin ss -> ss
+
 (* ------------------------------------------------------------------ *)
 (* Structural equality and size, ignoring spans. *)
 

@@ -2,6 +2,11 @@
 
 type 'a elt = Nil | El of 'a
 
+let join j x y =
+  match (x, y) with
+  | Nil, z | z, Nil -> z
+  | El a, El b -> El (j a b)
+
 let lift x = El x
 
 let is_nil = function Nil -> true | El _ -> false
@@ -28,11 +33,6 @@ let make (l : 'a Lattice.t) =
     | El _, Nil -> false
     | El a, El b -> l.leq a b
   in
-  let join x y =
-    match (x, y) with
-    | Nil, z | z, Nil -> z
-    | El a, El b -> El (l.join a b)
-  in
   let meet x y =
     match (x, y) with
     | Nil, _ | _, Nil -> Nil
@@ -48,7 +48,7 @@ let make (l : 'a Lattice.t) =
     equal;
     compare;
     leq;
-    join;
+    join = join l.join;
     meet;
     bottom = Nil;
     top = El l.top;

@@ -14,6 +14,10 @@ val make : 'a Lattice.t -> 'a elt Lattice.t
 (** [make l] is the extended scheme [C = C' ∪ {nil}] of Definition 4. The
     bottom is [Nil]; the top is [El l.top]; [Nil] prints as ["nil"]. *)
 
+val join : ('a -> 'a -> 'a) -> 'a elt -> 'a elt -> 'a elt
+(** [join j x y] is [x ⊕ y] on the extended scheme, with [j] the base
+    scheme's join: [Nil] is the identity. CFM folds [flow] with it. *)
+
 val lift : 'a -> 'a elt
 (** [lift x] is [El x]. *)
 

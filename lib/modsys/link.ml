@@ -137,15 +137,10 @@ let certify ?store ~lattice ?default (l : Ast.linked) =
           match l.Ast.main with
           | None -> []
           | Some p ->
-            let r = Cfm.analyze bind p.Ast.body in
-            if not r.Cfm.certified then
+            let r = Cfm.fold (Cfm.algebra bind) ~self_check:false p.Ast.body in
+            if not r.Cfm.cert then
               flow_issue "main program fails certification under the linked binding";
             [ ("main", Some r.Cfm.mod_, Some r.Cfm.flow) ]
-        in
-        let flow_join f1 f2 =
-          match (f1, f2) with
-          | Extended.Nil, f | f, Extended.Nil -> f
-          | Extended.El a, Extended.El b -> Extended.El (lattice.Lattice.join a b)
         in
         let _ =
           List.fold_left
@@ -160,7 +155,7 @@ let certify ?store ~lattice ?default (l : Ast.linked) =
               | Some _, _ -> ());
               let prefix =
                 match flow with
-                | Some f -> flow_join prefix f
+                | Some f -> Extended.join lattice.Lattice.join prefix f
                 | None ->
                   flow_issue "module %s: summary flow does not resolve" name;
                   prefix

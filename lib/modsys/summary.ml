@@ -1,10 +1,11 @@
-(* The symbolic Figure 2 walk. Each case mirrors Cfm.traverse exactly;
-   the only difference is the domain: classes carry an import part. *)
+(* Module summaries: Figure 2's fold over the symbolic algebra, whose
+   classes carry an import part. *)
 
 module Lattice = Ifc_lattice.Lattice
 module Extended = Ifc_lattice.Extended
 module Ast = Ifc_lang.Ast
 module Binding = Ifc_core.Binding
+module Cfm = Ifc_core.Cfm
 module Linked = Ifc_cert.Linked
 module Store = Ifc_store.Store
 module Sset = Ifc_support.Sset
@@ -15,59 +16,17 @@ type sym = { base : string; over : Sset.t }
 (* Meet-form symbolic mod: floor ⊗ ⊗_{y ∈ under} cls(y). *)
 type symod = { floor : string; under : Sset.t }
 
-type syflow = F_nil | F_el of sym
-
-type walk_state = {
-  lat : string Lattice.t;
-  bind : string Binding.t;
-  imports : Sset.t;
-  mutable constraints : Linked.constr list;
-  mutable locals_ok : bool;
-  mutable sends : Sset.t;
-  mutable recvs : Sset.t;
-  mutable waits : Sset.t;
-  mutable signals : Sset.t;
-}
-
-let sym_const _st c = { base = c; over = Sset.empty }
-
-let sym_join st a b = { base = st.lat.Lattice.join a.base b.base; over = Sset.union a.over b.over }
-
-let sym_of_name st x =
-  if Sset.mem x st.imports then { base = st.lat.Lattice.bottom; over = Sset.singleton x }
-  else sym_const st (Binding.sbind st.bind x)
-
-let rec sym_of_expr st = function
-  | Ast.Int _ | Ast.Bool _ -> sym_const st st.lat.Lattice.bottom
-  | Ast.Var x -> sym_of_name st x
-  | Ast.Index (a, i) -> sym_join st (sym_of_name st a) (sym_of_expr st i)
-  | Ast.Unop (_, e) -> sym_of_expr st e
-  | Ast.Binop (_, e1, e2) -> sym_join st (sym_of_expr st e1) (sym_of_expr st e2)
-
-let mod_of_name st x =
-  if Sset.mem x st.imports then { floor = st.lat.Lattice.top; under = Sset.singleton x }
-  else { floor = Binding.sbind st.bind x; under = Sset.empty }
-
-let mod_meet st a b =
-  { floor = st.lat.Lattice.meet a.floor b.floor; under = Sset.union a.under b.under }
-
-let mod_top st = { floor = st.lat.Lattice.top; under = Sset.empty }
-
-let flow_join st f1 f2 =
-  match (f1, f2) with
-  | F_nil, f | f, F_nil -> f
-  | F_el a, F_el b -> F_el (sym_join st a b)
-
 (* Decompose a symbolic check [flow <= mod] into atoms. Concrete/concrete
-   atoms discharge now into [locals_ok]; anything touching an import
-   becomes a residual constraint. Trivial atoms — a bottom on the left, a
-   top on the right, cls(y) <= cls(y) — are dropped, which is what keeps
-   the residue bounded by the interface, not the body. *)
-let record st lhs rhs =
+   atoms are decided now; anything touching an import becomes a residual
+   constraint, prepended to [constraints]. Trivial atoms — a bottom on
+   the left, a top on the right, cls(y) <= cls(y) — are dropped, which
+   is what keeps the residue bounded by the interface, not the body. The
+   outcome is false only when a concrete/concrete atom fails, so a
+   body's cert is exactly its [locals_ok]. *)
+let record l constraints lhs rhs =
   match lhs with
-  | F_nil -> ()
-  | F_el { base; over } ->
-    let l = st.lat in
+  | Extended.Nil -> true
+  | Extended.El { base; over } ->
     let lhs_atoms =
       (if l.Lattice.equal base l.Lattice.bottom then [] else [ `Const base ])
       @ List.map (fun y -> `Cls y) (Sset.elements over)
@@ -76,102 +35,57 @@ let record st lhs rhs =
       (if l.Lattice.equal rhs.floor l.Lattice.top then [] else [ `Const rhs.floor ])
       @ List.map (fun z -> `Cls z) (Sset.elements rhs.under)
     in
+    let ok = ref true in
     List.iter
       (fun a ->
         List.iter
           (fun b ->
             match (a, b) with
-            | `Const k1, `Const k2 ->
-              if not (l.Lattice.leq k1 k2) then st.locals_ok <- false
+            | `Const k1, `Const k2 -> if not (l.Lattice.leq k1 k2) then ok := false
             | `Cls y, `Const k ->
-              st.constraints <- Linked.Upper (y, l.Lattice.to_string k) :: st.constraints
+              constraints := Linked.Upper (y, l.Lattice.to_string k) :: !constraints
             | `Const k, `Cls z ->
-              st.constraints <- Linked.Lower (l.Lattice.to_string k, z) :: st.constraints
+              constraints := Linked.Lower (l.Lattice.to_string k, z) :: !constraints
             | `Cls y, `Cls z ->
               if not (String.equal y z) then
-                st.constraints <- Linked.Rel (y, z) :: st.constraints)
+                constraints := Linked.Rel (y, z) :: !constraints)
           rhs_atoms)
-      lhs_atoms
+      lhs_atoms;
+    !ok
 
-(* The traversal. Returns (mod, flow); checks and obligations accumulate
-   in the state. self_check is pinned to false — the default reading, and
-   the one Link and the whole-program comparison use. *)
-let rec go st (s : Ast.stmt) =
-  let l = st.lat in
+(* The symbolic algebra lifts the binding's concrete one: an import is
+   its own unknown class, any other name its binding's class. *)
+let algebra bind imports constraints =
+  let c = Cfm.algebra bind in
+  let l = Binding.lattice bind in
+  let const k = { base = k; over = Sset.empty } in
+  {
+    Cfm.bottom = const c.bottom;
+    top = { floor = c.top; under = Sset.empty };
+    src =
+      (fun x ->
+        if Sset.mem x imports then { base = c.bottom; over = Sset.singleton x }
+        else const (c.src x));
+    dst =
+      (fun x ->
+        if Sset.mem x imports then { floor = c.top; under = Sset.singleton x }
+        else { floor = c.dst x; under = Sset.empty });
+    named = (fun cls -> const (c.named cls));
+    join = (fun a b -> { base = c.join a.base b.base; over = Sset.union a.over b.over });
+    meet =
+      (fun a b -> { floor = c.meet a.floor b.floor; under = Sset.union a.under b.under });
+    check = (fun _ _ lhs rhs -> record l constraints lhs rhs);
+  }
+
+(* The interface facts Figure 2 does not need: the channels a body sends
+   on and receives from, and the semaphores it waits on and signals. *)
+let rec obligations ((sends, recvs, waits, signals) as acc) (s : Ast.stmt) =
   match s.node with
-  | Ast.Skip -> (mod_top st, F_nil)
-  | Ast.Assign (x, e) ->
-    let target = mod_of_name st x in
-    record st (F_el (sym_of_expr st e)) target;
-    (target, F_nil)
-  | Ast.Declassify (x, _, cls) ->
-    let target = mod_of_name st x in
-    let source =
-      match l.Lattice.of_string cls with Ok c -> c | Error _ -> l.Lattice.top
-    in
-    record st (F_el (sym_const st source)) target;
-    (target, F_nil)
-  | Ast.Store (a, i, e) ->
-    let target = mod_of_name st a in
-    let source = sym_join st (sym_of_expr st i) (sym_of_expr st e) in
-    record st (F_el source) target;
-    (target, F_nil)
-  | Ast.Wait sem ->
-    st.waits <- Sset.add sem st.waits;
-    (mod_of_name st sem, F_el (sym_of_name st sem))
-  | Ast.Signal sem ->
-    st.signals <- Sset.add sem st.signals;
-    (mod_of_name st sem, F_nil)
-  | Ast.Send (chan, e) ->
-    st.sends <- Sset.add chan st.sends;
-    let c = mod_of_name st chan in
-    record st (F_el (sym_of_expr st e)) c;
-    (c, F_nil)
-  | Ast.Recv (chan, x) ->
-    st.recvs <- Sset.add chan st.recvs;
-    let target = mod_of_name st x in
-    record st (F_el (sym_of_name st chan)) target;
-    (mod_meet st (mod_of_name st chan) target, F_el (sym_of_name st chan))
-  | Ast.If (cond, then_, else_) ->
-    let m1, f1 = go st then_ in
-    let m2, f2 = go st else_ in
-    let e_sym = sym_of_expr st cond in
-    let mod_ = mod_meet st m1 m2 in
-    let flow =
-      match flow_join st f1 f2 with
-      | F_nil -> F_nil
-      | F_el f -> F_el (sym_join st f e_sym)
-    in
-    record st (F_el e_sym) mod_;
-    (mod_, flow)
-  | Ast.While (cond, body) ->
-    let m1, f1 = go st body in
-    let e_sym = sym_of_expr st cond in
-    let flow =
-      F_el
-        (match f1 with
-        | F_nil -> e_sym
-        | F_el f -> sym_join st f e_sym)
-    in
-    record st flow m1;
-    (m1, flow)
-  | Ast.Seq stmts ->
-    let results = List.map (fun s' -> go st s') stmts in
-    let mod_ = List.fold_left (fun acc (m, _) -> mod_meet st acc m) (mod_top st) results in
-    let flow = List.fold_left (fun acc (_, f) -> flow_join st acc f) F_nil results in
-    let _ =
-      List.fold_left
-        (fun (i, prefix) (mi, fi) ->
-          if i > 0 then record st prefix mi;
-          (i + 1, flow_join st prefix fi))
-        (0, F_nil) results
-    in
-    (mod_, flow)
-  | Ast.Cobegin branches ->
-    let results = List.map (fun s' -> go st s') branches in
-    let mod_ = List.fold_left (fun acc (m, _) -> mod_meet st acc m) (mod_top st) results in
-    let flow = List.fold_left (fun acc (_, f) -> flow_join st acc f) F_nil results in
-    (mod_, flow)
+  | Ast.Send (c, _) -> (Sset.add c sends, recvs, waits, signals)
+  | Ast.Recv (c, _) -> (sends, Sset.add c recvs, waits, signals)
+  | Ast.Wait sem -> (sends, recvs, Sset.add sem waits, signals)
+  | Ast.Signal sem -> (sends, recvs, waits, Sset.add sem signals)
+  | _ -> List.fold_left obligations acc (Ast.children s)
 
 let summarize ~lattice ?default (m : Ast.module_unit) =
   let resolve what cls =
@@ -192,20 +106,17 @@ let summarize ~lattice ?default (m : Ast.module_unit) =
     (fun bind ->
       Result.bind (resolve_entries "provides" m.iface.provides) (fun provides ->
           Result.bind (resolve_entries "requires" m.iface.requires) (fun requires ->
-              let st =
-                {
-                  lat = lattice;
-                  bind;
-                  imports = Sset.of_list (List.map fst requires);
-                  constraints = [];
-                  locals_ok = true;
-                  sends = Sset.empty;
-                  recvs = Sset.empty;
-                  waits = Sset.empty;
-                  signals = Sset.empty;
-                }
+              let constraints = ref [] in
+              let imports = Sset.of_list (List.map fst requires) in
+              (* self_check is pinned to false: the default reading, and
+                 the one Link and the whole-program comparison use. *)
+              let body =
+                Cfm.fold (algebra bind imports constraints) ~self_check:false
+                  m.m_body
               in
-              let mod_, flow = go st m.m_body in
+              let sends, recvs, waits, signals =
+                obligations (Sset.empty, Sset.empty, Sset.empty, Sset.empty) m.m_body
+              in
               let to_s = lattice.Lattice.to_string in
               let exports =
                 List.map (fun (x, _) -> (x, to_s (Binding.sbind bind x))) provides
@@ -225,18 +136,22 @@ let summarize ~lattice ?default (m : Ast.module_unit) =
                   requires =
                     List.map (fun (y, c) -> (y, to_s c)) requires;
                   exports;
-                  smod = { Linked.floor = to_s mod_.floor; under = Sset.elements mod_.under };
+                  smod =
+                    {
+                      Linked.floor = to_s body.mod_.floor;
+                      under = Sset.elements body.mod_.under;
+                    };
                   sflow =
-                    (match flow with
-                    | F_nil -> Linked.F_nil
-                    | F_el { base; over } ->
+                    (match body.flow with
+                    | Extended.Nil -> Linked.F_nil
+                    | Extended.El { base; over } ->
                       Linked.F_sym { base = to_s base; over = Sset.elements over });
-                  constraints = st.constraints;
-                  sends = Sset.elements st.sends;
-                  recvs = Sset.elements st.recvs;
-                  waits = Sset.elements st.waits;
-                  signals = Sset.elements st.signals;
-                  locals_ok = st.locals_ok;
+                  constraints = !constraints;
+                  sends = Sset.elements sends;
+                  recvs = Sset.elements recvs;
+                  waits = Sset.elements waits;
+                  signals = Sset.elements signals;
+                  locals_ok = body.cert;
                   exports_ok;
                 })))
 

@@ -1,11 +1,11 @@
-(** Per-module flow summaries: the symbolic walk behind compositional
-    certification.
+(** Per-module flow summaries: the symbolic instance of Figure 2 behind
+    compositional certification.
 
-    [summarize] runs the Figure 2 traversal over a module body with the
+    [summarize] runs {!Ifc_core.Cfm.fold} over a module body with the
     module's imports held {e symbolic}: a class is the join of a concrete
     part with the (unknown) classes of the imports it mentions, a [mod]
     the meet of a concrete floor with import classes. Every certification
-    check the walk would perform decomposes into atomic comparisons —
+    check the fold performs decomposes into atomic comparisons —
     [join(a, b) <= X] iff [a <= X] and [b <= X]; [A <= meet(B, C)] iff
     [A <= B] and [A <= C] — so each check either discharges now (both
     sides concrete: folded into [locals_ok]) or leaves a residual atomic
@@ -13,13 +13,11 @@
     evaluation therefore costs the number of {e distinct} atoms — bounded
     by interface size and lattice size, never by module body size.
 
-    The walk mirrors [Ifc_core.Cfm.traverse] case for case (the same
-    discipline as the incremental certifier's [combine]); the equivalence
-    "summary resolved under a linked binding = direct CFM on the body" is
-    under test on random modules. Summaries are persisted through the
-    store's summary seam ({!Ifc_store.Store.add_summary}), keyed by
-    {!key} — the module's structural digest plus the classification
-    context. *)
+    The equivalence "summary resolved under a linked binding = direct CFM
+    on the body" is under test on random modules. Summaries are persisted
+    through the store's summary seam ({!Ifc_store.Store.add_summary}),
+    keyed by {!key} — the module's structural digest plus the
+    classification context. *)
 
 module Lattice := Ifc_lattice.Lattice
 module Linked := Ifc_cert.Linked

@@ -1,17 +1,21 @@
-(* Subtree-summary certification: one digest pass recognises unchanged
-   subtrees; Figure 2's combination rules run only on the spine. *)
+(* Subtree-summary certification: a digest-keyed memo over Figure 2's
+   [Cfm.combine]. One digest pass recognises unchanged subtrees; the
+   combination rules run only on the spine. *)
 
 module Lattice = Ifc_lattice.Lattice
 module Extended = Ifc_lattice.Extended
 module Binding = Ifc_core.Binding
+module Cfm = Ifc_core.Cfm
 module Ast = Ifc_lang.Ast
 module Pretty = Ifc_lang.Pretty
 
-type summary = {
-  mod_ : string;
-  flow : string Extended.elt;
+type ('c, 'm) triple = ('c, 'm) Cfm.summary = {
+  mod_ : 'm;
+  flow : 'c Extended.elt;
   cert : bool;
 }
+
+type summary = (string, string) triple
 
 type stats = {
   computed : int;
@@ -20,7 +24,7 @@ type stats = {
 }
 
 type t = {
-  binding : string Binding.t;
+  alg : (string, string) Cfm.algebra;
   lattice : string Lattice.t;
   self_check : bool;
   ctx : string;
@@ -34,14 +38,16 @@ type t = {
 let hash parts = Digest.to_hex (Digest.string (String.concat "\x00" parts))
 
 (* The context digest pins everything a summary depends on besides the
-   subtree itself: the binding (variable classes), the scheme, and the
-   composition-rule reading. Two certifiers with equal contexts may
-   share summaries; any difference changes every key. *)
+   subtree itself: the binding (listed variable classes and the default
+   class of every other variable), the scheme, and the composition-rule
+   reading. Two certifiers with equal contexts may share summaries; any
+   difference changes every key. *)
 let context_digest binding lattice self_check =
   hash
     [
-      "ifc-incremental 1";
+      "ifc-incremental 2";
       Fmt.str "%a" Binding.pp binding;
+      lattice.Lattice.to_string (Binding.default binding);
       lattice.Lattice.name;
       String.concat "," (List.map lattice.Lattice.to_string lattice.Lattice.elements);
       string_of_bool self_check;
@@ -50,7 +56,7 @@ let context_digest binding lattice self_check =
 let create ?store ?(self_check = false) binding =
   let lattice = Binding.lattice binding in
   {
-    binding;
+    alg = Cfm.algebra binding;
     lattice;
     self_check;
     ctx = context_digest binding lattice self_check;
@@ -60,107 +66,6 @@ let create ?store ?(self_check = false) binding =
     reused_memory = 0;
     reused_disk = 0;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Figure 2 combination, over summaries instead of recursion *)
-
-let flow_join l f1 f2 =
-  match (f1, f2) with
-  | Extended.Nil, f | f, Extended.Nil -> f
-  | Extended.El a, Extended.El b -> Extended.El (l.Lattice.join a b)
-
-let check_outcome l lhs rhs =
-  match lhs with Extended.Nil -> true | Extended.El f -> l.Lattice.leq f rhs
-
-(* Each case mirrors Cfm.traverse exactly, reading children through
-   their summaries; the equivalence is under test against the direct
-   recursion on random programs. *)
-let combine t (node : Ast.node) (children : summary list) =
-  let l = t.lattice in
-  let b = t.binding in
-  match (node, children) with
-  | Ast.Skip, [] -> { mod_ = l.Lattice.top; flow = Extended.Nil; cert = true }
-  | Ast.Assign (x, e), [] ->
-    let target = Binding.sbind b x in
-    let source = Binding.expr_class b e in
-    { mod_ = target; flow = Extended.Nil; cert = l.Lattice.leq source target }
-  | Ast.Declassify (x, _, cls), [] ->
-    let target = Binding.sbind b x in
-    let source =
-      match l.Lattice.of_string cls with Ok c -> c | Error _ -> l.Lattice.top
-    in
-    { mod_ = target; flow = Extended.Nil; cert = l.Lattice.leq source target }
-  | Ast.Store (a, i, e), [] ->
-    let target = Binding.sbind b a in
-    let source =
-      l.Lattice.join (Binding.expr_class b i) (Binding.expr_class b e)
-    in
-    { mod_ = target; flow = Extended.Nil; cert = l.Lattice.leq source target }
-  | Ast.Wait sem, [] ->
-    let c = Binding.sbind b sem in
-    { mod_ = c; flow = Extended.El c; cert = true }
-  | Ast.Signal sem, [] ->
-    let c = Binding.sbind b sem in
-    { mod_ = c; flow = Extended.Nil; cert = true }
-  | Ast.Send (chan, e), [] ->
-    let c = Binding.sbind b chan in
-    let source = Binding.expr_class b e in
-    { mod_ = c; flow = Extended.Nil; cert = l.Lattice.leq source c }
-  | Ast.Recv (chan, x), [] ->
-    let c = Binding.sbind b chan in
-    let target = Binding.sbind b x in
-    {
-      mod_ = l.Lattice.meet c target;
-      flow = Extended.El c;
-      cert = l.Lattice.leq c target;
-    }
-  | Ast.If (cond, _, _), [ s1; s2 ] ->
-    let e_class = Binding.expr_class b cond in
-    let mod_ = l.Lattice.meet s1.mod_ s2.mod_ in
-    let flow =
-      match flow_join l s1.flow s2.flow with
-      | Extended.Nil -> Extended.Nil
-      | Extended.El f -> Extended.El (l.Lattice.join f e_class)
-    in
-    let local_ok = check_outcome l (Extended.El e_class) mod_ in
-    { mod_; flow; cert = s1.cert && s2.cert && local_ok }
-  | Ast.While (cond, _), [ s1 ] ->
-    let e_class = Binding.expr_class b cond in
-    let flow =
-      Extended.El
-        (l.Lattice.join (Extended.get ~default:l.Lattice.bottom s1.flow) e_class)
-    in
-    let global_ok = check_outcome l flow s1.mod_ in
-    { mod_ = s1.mod_; flow; cert = s1.cert && global_ok }
-  | Ast.Seq _, ss ->
-    let mod_ = Lattice.meets l (List.map (fun s -> s.mod_) ss) in
-    let flow =
-      List.fold_left (fun acc s -> flow_join l acc s.flow) Extended.Nil ss
-    in
-    let _, _, global_ok =
-      List.fold_left
-        (fun (i, prefix, ok_acc) s ->
-          let to_check =
-            if t.self_check then flow_join l prefix s.flow else prefix
-          in
-          let ok =
-            if i = 0 && not t.self_check then true
-            else check_outcome l to_check s.mod_
-          in
-          (i + 1, flow_join l prefix s.flow, ok && ok_acc))
-        (0, Extended.Nil, true) ss
-    in
-    { mod_; flow; cert = List.for_all (fun s -> s.cert) ss && global_ok }
-  | Ast.Cobegin _, ss ->
-    {
-      mod_ = Lattice.meets l (List.map (fun s -> s.mod_) ss);
-      flow = List.fold_left (fun acc s -> flow_join l acc s.flow) Extended.Nil ss;
-      cert = List.for_all (fun s -> s.cert) ss;
-    }
-  | _ ->
-    (* Child count is fixed by the constructor; [certify] always passes
-       a matching list. *)
-    assert false
 
 (* ------------------------------------------------------------------ *)
 (* Digesting and the memo *)
@@ -230,21 +135,14 @@ let lookup t digest =
 
 let certify t stmt =
   let rec go (s : Ast.stmt) =
-    let children =
-      match s.node with
-      | Ast.Skip | Ast.Assign _ | Ast.Declassify _ | Ast.Store _ | Ast.Wait _
-      | Ast.Signal _ | Ast.Send _ | Ast.Recv _ ->
-        []
-      | Ast.If (_, then_, else_) -> [ then_; else_ ]
-      | Ast.While (_, body) -> [ body ]
-      | Ast.Seq ss | Ast.Cobegin ss -> ss
-    in
-    let child_results = List.map go children in
+    let child_results = List.map go (Ast.children s) in
     let digest = node_digest t s.node (List.map fst child_results) in
     match lookup t digest with
     | Some summary -> (digest, summary)
     | None ->
-      let summary = combine t s.node (List.map snd child_results) in
+      let summary =
+        Cfm.combine t.alg ~self_check:t.self_check s (List.map snd child_results)
+      in
       t.computed <- t.computed + 1;
       Hashtbl.replace t.memo digest summary;
       (match t.store with
@@ -257,18 +155,7 @@ let certify t stmt =
 let certify_program t (p : Ast.program) = (certify t p.Ast.body).cert
 
 let digest t stmt =
-  let rec go (s : Ast.stmt) =
-    let children =
-      match s.node with
-      | Ast.Skip | Ast.Assign _ | Ast.Declassify _ | Ast.Store _ | Ast.Wait _
-      | Ast.Signal _ | Ast.Send _ | Ast.Recv _ ->
-        []
-      | Ast.If (_, then_, else_) -> [ then_; else_ ]
-      | Ast.While (_, body) -> [ body ]
-      | Ast.Seq ss | Ast.Cobegin ss -> ss
-    in
-    node_digest t s.node (List.map go children)
-  in
+  let rec go (s : Ast.stmt) = node_digest t s.node (List.map go (Ast.children s)) in
   go stmt
 
 let stats t =

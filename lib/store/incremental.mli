@@ -2,15 +2,16 @@
 
     Figure 2's flow mechanism is syntax-directed: the [mod], [flow] and
     certification verdict of a construct are functions of its children's
-    triples plus its own atoms (condition classes, binding lookups).
-    Those triples therefore compose — and cache. This module keys each
+    triples plus its own atoms (condition classes, binding lookups) —
+    exactly {!Ifc_core.Cfm.combine}. Those triples therefore compose —
+    and cache. This module is a memo over [combine]: it keys each
     subtree's triple (its {e summary}) by a structural digest covering
-    the subtree's printed form and the certification context (binding,
-    scheme, self-check mode), memoises summaries in memory, and — when a
-    {!Store} is attached — persists them, so re-certifying an edited
-    program recomputes only the {e spine}: the nodes from each changed
-    leaf up to the root. Every untouched subtree is answered by digest
-    lookup without a single lattice operation.
+    the subtree's printed form and the certification context (binding
+    and default class, scheme, self-check mode), memoises summaries in
+    memory, and — when a {!Store} is attached — persists them, so
+    re-certifying an edited program recomputes only the {e spine}: the
+    nodes from each changed leaf up to the root. Every untouched subtree
+    is answered by digest lookup without a single lattice operation.
 
     The digest pass itself always walks the whole program (hashing is
     the only way to recognise an unchanged subtree), but it performs no
@@ -26,11 +27,15 @@ module Ast := Ifc_lang.Ast
 
 type t
 
-type summary = {
-  mod_ : string;  (** Meet of the classes the subtree may modify. *)
-  flow : string Extended.elt;  (** Join of the subtree's global flows. *)
+(** {!Ifc_core.Cfm.summary}, re-exported so its fields read as
+    [s.Incremental.cert]. *)
+type ('c, 'm) triple = ('c, 'm) Ifc_core.Cfm.summary = {
+  mod_ : 'm;  (** Meet of the classes the subtree may modify. *)
+  flow : 'c Extended.elt;  (** Join of the subtree's global flows. *)
   cert : bool;  (** Is the subtree certified? *)
 }
+
+type summary = (string, string) triple
 
 type stats = {
   computed : int;

@@ -525,6 +525,23 @@ let test_incremental_survives_corrupt_summary () =
       check "rotten summaries quarantined" true
         ((Store.disk_stats st2).Store.quarantined > 0))
 
+(* The default class of unlisted variables is part of the certification
+   context: with only x listed (high), y := x certifies under default
+   high and not under default low, so a summary stored under one default
+   must not answer under the other. *)
+let test_incremental_default_class_in_context () =
+  with_dir (fun dir ->
+      let body = Ast.assign "y" (Ast.var "x") in
+      let under default = Binding.make two ~default [ ("x", "high") ] in
+      let ctx_low = Incremental.create ~store:(open_exn dir) (under "low") in
+      check "default low rejects" false
+        (Incremental.certify ctx_low body).Incremental.cert;
+      let ctx_high = Incremental.create ~store:(open_exn dir) (under "high") in
+      check "default high certifies, as CFM does" true
+        (Incremental.certify ctx_high body).Incremental.cert;
+      check_int "nothing reused across defaults" 0
+        (Incremental.stats ctx_high).Incremental.reused_disk)
+
 let suite =
   ( "store",
     [
@@ -561,4 +578,6 @@ let suite =
         test_incremental_one_line_edit_recomputes_spine_only;
       Alcotest.test_case "incremental survives corrupt summaries" `Quick
         test_incremental_survives_corrupt_summary;
+      Alcotest.test_case "incremental context covers the default class" `Quick
+        test_incremental_default_class_in_context;
     ] )
