@@ -14,9 +14,9 @@
                (termination-insensitive) noninterference test
      PIPE      the batch pipeline: throughput at 1/2/4 domains with
                verdict-multiset determinism, and result-cache hit rates
-     STORE     the persistent artifact store: cold vs warm vs
-               one-line-edit incremental certification rates, and the
-               spine-only recompute claim
+     STORE     the job-level result store: cold (compute and persist)
+               vs warm (disk hits, certificates re-checked) vs
+               preloaded (memory hits) job rates
      MODSYS    compositional certification: store-backed linking whose
                cost follows interface size rather than module body
                size, and the one-module-edit recompute claim
@@ -89,6 +89,14 @@ let metric section name value =
 let metric_i section name v = metric section name (string_of_int v)
 
 let metric_f section name v = metric section name (Printf.sprintf "%.4f" v)
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
 
 let random_binding rng lattice stmt =
   let arr = Array.of_list lattice.Lattice.elements in
@@ -636,23 +644,20 @@ let lint_bench ~corpus () =
 
 (* ------------------------------------------------------------------ *)
 (* DATAFLOW: the abstract-interpretation engine — solver throughput,
-   the lint's cost and false-positive reduction with pruning on vs off,
-   and per-module summary reuse through the store on a one-module
-   edit. Every third corpus program is wrapped in a statically
+   and the lint's cost and false-positive reduction with pruning on vs
+   off. Every third corpus program is wrapped in a statically
    infeasible branch so the whole-program findings inside it are
    false positives the engine must remove. *)
 
 let dataflow_bench ~corpus () =
   banner
     (Printf.sprintf
-       "DATAFLOW: interval analysis, pruning and summaries over a \
-        %d-program corpus"
+       "DATAFLOW: interval analysis and pruning over a %d-program corpus"
        corpus);
   let module J = Ifc_pipeline.Telemetry in
   let module Analyze = Ifc_analysis.Analyze in
   let module Finding = Ifc_analysis.Finding in
   let module Prune = Ifc_dataflow.Prune in
-  let module Dflow = Ifc_modsys.Dflow in
   let rng = Prng.create 1979 in
   let cfg = { Gen.default with Gen.max_branch = 4 } in
   let wrap p =
@@ -728,78 +733,6 @@ let dataflow_bench ~corpus () =
     "pruned %d arms; removed %d false-positive findings; strengthened %d \
      claims@."
     pruned_arms fp_removed strengthened;
-  (* Leg 3: summary reuse on a one-module edit, through the store. *)
-  let low_name = (Lattice.stringify two).Lattice.bottom in
-  let make_module ?(salt = 0) ~name ~import size =
-    let out = name ^ "_out" in
-    let body =
-      Ast.seq
-        (Ast.assign out (Ast.int (1 + salt))
-        :: List.init (max 0 (size - 1)) (fun i ->
-               Ast.assign out (Ast.Binop (Ast.Add, Ast.var import, Ast.int i))))
-    in
-    {
-      Ast.iface =
-        {
-          Ast.m_name = name;
-          provides = [ { Ast.iv_name = out; iv_class = low_name } ];
-          requires = [ { Ast.iv_name = import; iv_class = low_name } ];
-        };
-      m_decls = [ Ast.Var_decl { name = out; cls = Some low_name } ];
-      m_body = body;
-    }
-  in
-  let make_unit ?edit ~count size =
-    {
-      Ast.modules =
-        List.init count (fun i ->
-            let import =
-              if i = 0 then "cfg" else Printf.sprintf "m%d_out" (i - 1)
-            in
-            let salt =
-              match edit with Some (j, salt) when j = i -> salt | _ -> 0
-            in
-            make_module ~salt ~name:(Printf.sprintf "m%d" i) ~import size);
-      main =
-        Some
-          {
-            Ast.decls = [ Ast.Var_decl { name = "cfg"; cls = Some low_name } ];
-            body = Ast.assign "cfg" (Ast.int 0);
-          };
-    }
-  in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ifc-bench-dataflow-%d" (Unix.getpid ()))
-  in
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-        Sys.rmdir path
-      end
-      else Sys.remove path
-  in
-  rm_rf dir;
-  (match Ifc_store.Store.open_ dir with
-  | Error msg -> Fmt.epr "dataflow summary leg skipped: %s@." msg
-  | Ok store ->
-    let modules = 8 in
-    let cold = Dflow.linked ~store (make_unit ~count:modules 200) in
-    let warm = Dflow.linked ~store (make_unit ~edit:(3, 7) ~count:modules 200) in
-    let ratio =
-      float_of_int warm.Dflow.reused
-      /. float_of_int (warm.Dflow.computed + warm.Dflow.reused)
-    in
-    Fmt.pr
-      "summaries: cold link computed %d; one-module edit recomputed %d, \
-       reused %d (ratio %.3f)@."
-      cold.Dflow.computed warm.Dflow.computed warm.Dflow.reused ratio;
-    metric_i "dataflow" "edit_summaries_recomputed" warm.Dflow.computed;
-    metric_i "dataflow" "edit_summaries_reused" warm.Dflow.reused;
-    metric_f "dataflow" "summary_reuse_ratio" ratio);
-  rm_rf dir;
   metric_i "dataflow" "corpus" corpus;
   metric_i "dataflow" "statements" stmts;
   metric_f "dataflow" "solver_statements_per_sec"
@@ -1203,137 +1136,71 @@ let load_bench ~scenarios () =
       scenarios
 
 (* ------------------------------------------------------------------ *)
-(* STORE: the persistent artifact store and incremental certification —
-   cold (compute + persist) vs warm (summaries replayed from disk) vs
-   one-line-edit (only the spine recomputed) certification rates. *)
+(* STORE: the job-level result store behind [ifc batch --store] and
+   [ifc serve --store] — cold (compute and persist), warm (a fresh
+   session without preload, so every job is a disk hit whose certificate
+   the independent checker re-validates) and preloaded (answered from
+   memory) job rates. *)
 
-let store_bench ~corpus ~edits () =
+let store_bench ~corpus () =
   banner
     (Printf.sprintf
-       "STORE: incremental certification over the persistent store (%d programs)"
+       "STORE: the job-level result store over %d programs (cfm + cert per job)"
        corpus);
   let module Store = Ifc_store.Store in
-  let module Incremental = Ifc_store.Incremental in
-  let module J = Ifc_pipeline.Telemetry in
   let stwo = Lattice.stringify two in
-  let binding = Binding.make stwo ~default:stwo.Lattice.bottom [] in
-  let rng = Prng.create 6029 in
-  let programs =
-    List.init corpus (fun i -> Gen.program rng Gen.default ~size:(20 + (i mod 80)))
+  (* Even jobs run under the all-bottom binding, where every program
+     certifies and carries a certificate for the warm pass to re-check;
+     odd jobs under a random binding, where most are rejected, so the
+     verdict comparison sees both outcomes. *)
+  let all_low = Binding.make stwo ~default:stwo.Lattice.bottom [] in
+  let specs =
+    let rng = Prng.create 6029 in
+    List.init corpus (fun i ->
+        let p = Gen.program rng Gen.default ~size:(20 + (i mod 80)) in
+        let binding =
+          if i mod 2 = 0 then all_low else random_binding rng stwo p.Ast.body
+        in
+        Job.make ~id:i
+          ~name:(Printf.sprintf "store:%d" i)
+          ~lattice:stwo ~binding ~analyses:[ Job.Cfm; Job.Cert ] p)
   in
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "ifc-bench-store-%d" (Unix.getpid ()))
   in
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-        Sys.rmdir path
-      end
-      else Sys.remove path
-  in
   rm_rf dir;
-  let with_store f =
+  (* Each pass is a new session: a fresh store handle and an empty memory
+     cache, as a restarted [ifc batch --store] would have. *)
+  let pass ~preload =
     match Store.open_ dir with
-    | Error msg -> Fmt.epr "store bench skipped: %s@." msg
-    | Ok st -> f st
+    | Error msg -> failwith ("store bench: " ^ msg)
+    | Ok st ->
+      let tier = Store.tier st in
+      let cache = Cache.create ~capacity:(2 * corpus) () in
+      let preloaded = if preload then tier.Ifc_pipeline.Tier.preload cache else 0 in
+      (Batch.run ~cache ~store:tier specs, preloaded)
   in
-  let certify_all ctx =
-    let timer = J.start () in
-    let certified =
-      List.fold_left
-        (fun acc p -> if Incremental.certify_program ctx p then acc + 1 else acc)
-        0 programs
-    in
-    (certified, Int64.to_float (J.elapsed_ns timer) /. 1e9)
-  in
-  with_store (fun st ->
-      (* Cold: every summary computed from scratch and persisted. *)
-      let ctx = Incremental.create ~store:st binding in
-      let certified, cold_s = certify_all ctx in
-      let cold = Incremental.stats ctx in
-      Fmt.pr "cold: %d programs (%d certified) in %.3f s (%.0f certs/s), %d \
-              summaries computed@."
-        corpus certified cold_s
-        (float_of_int corpus /. cold_s)
-        cold.Incremental.computed;
-      metric_f "store" "cold_certs_per_sec" (float_of_int corpus /. cold_s));
-  with_store (fun st ->
-      (* Warm: a fresh session (empty memo) over the same store — every
-         subtree answered by disk lookup, zero lattice work. *)
-      let ctx = Incremental.create ~store:st binding in
-      let _, warm_s = certify_all ctx in
-      let warm = Incremental.stats ctx in
-      let total =
-        warm.Incremental.computed + warm.Incremental.reused_memory
-        + warm.Incremental.reused_disk
-      in
-      Fmt.pr "warm: %.3f s (%.0f certs/s); %d/%d summaries from disk, %d \
-              recomputed@."
-        warm_s
-        (float_of_int corpus /. warm_s)
-        warm.Incremental.reused_disk total warm.Incremental.computed;
-      metric_f "store" "warm_certs_per_sec" (float_of_int corpus /. warm_s);
-      metric_i "store" "warm_recomputed" warm.Incremental.computed;
-      metric_f "store" "warm_disk_reuse_pct"
-        (if total = 0 then 0.
-         else 100. *. float_of_int warm.Incremental.reused_disk
-              /. float_of_int total);
-      (* One-line edit: bump the constant in the first assignment of a
-         large program; only the spine from that leaf to the root may be
-         recomputed, however big the rest of the tree is. *)
-      let big = Gen.program (Prng.create 8086) Gen.default ~size:600 in
-      let edit k (p : Ast.program) =
-        let changed = ref false in
-        let rec stmt (s : Ast.stmt) =
-          if !changed then s
-          else
-            match s.Ast.node with
-            | Ast.Assign (v, Ast.Int _) ->
-              changed := true;
-              { s with Ast.node = Ast.Assign (v, Ast.Int k) }
-            | Ast.Seq ss -> { s with Ast.node = Ast.Seq (List.map stmt ss) }
-            | Ast.Cobegin ss ->
-              { s with Ast.node = Ast.Cobegin (List.map stmt ss) }
-            | Ast.If (e, a, b) ->
-              let a' = stmt a in
-              { s with Ast.node = Ast.If (e, a', stmt b) }
-            | Ast.While (e, body) ->
-              { s with Ast.node = Ast.While (e, stmt body) }
-            | Ast.Skip | Ast.Assign _ | Ast.Declassify _ | Ast.Store _
-            | Ast.Wait _ | Ast.Signal _ | Ast.Send _ | Ast.Recv _ -> s
-        in
-        { p with Ast.body = stmt p.Ast.body }
-      in
-      let ctx = Incremental.create ~store:st binding in
-      ignore (Incremental.certify_program ctx big);
-      Incremental.reset_stats ctx;
-      let timer = J.start () in
-      for k = 1 to edits do
-        ignore (Incremental.certify_program ctx (edit k big))
-      done;
-      let edit_s = Int64.to_float (J.elapsed_ns timer) /. 1e9 in
-      let s = Incremental.stats ctx in
-      let spine =
-        float_of_int s.Incremental.computed /. float_of_int (max 1 edits)
-      in
-      let nodes = Metrics.length big in
-      Fmt.pr "one-line edit on a %d-node program: %d re-certifications in \
-              %.3f s (%.0f certs/s), %.1f spine nodes recomputed per edit@."
-        nodes edits edit_s
-        (float_of_int edits /. edit_s)
-        spine;
-      metric_f "store" "edit_certs_per_sec" (float_of_int edits /. edit_s);
-      metric_f "store" "edit_spine_nodes" spine;
-      metric_i "store" "edit_program_nodes" nodes;
-      let d = Store.disk_stats st in
-      Fmt.pr "store: %d entries, %d summaries, %d bytes on disk@."
-        d.Store.entries d.Store.summaries
-        (d.Store.entry_bytes + d.Store.summary_bytes);
-      metric_i "store" "summaries_on_disk" d.Store.summaries);
-  rm_rf dir
+  let verdicts s = List.map Job.verdict_string s.Batch.results in
+  let cold, _ = pass ~preload:false in
+  let warm, _ = pass ~preload:false in
+  let hot, preloaded = pass ~preload:true in
+  rm_rf dir;
+  let matches = verdicts warm = verdicts cold in
+  Fmt.pr "cold: %.0f jobs/s (%d passed, %d failed, %d errored)@."
+    (Batch.throughput cold) cold.Batch.passed cold.Batch.failed
+    cold.Batch.errored;
+  Fmt.pr "warm: %.0f jobs/s; %d disk hits, %d misses; verdicts match cold: %b@."
+    (Batch.throughput warm) warm.Batch.store_hits warm.Batch.store_misses
+    matches;
+  Fmt.pr "preloaded: %.0f jobs/s; %d entries preloaded, %d memory hits@."
+    (Batch.throughput hot) preloaded hot.Batch.cache_hits;
+  metric_f "store" "cold_jobs_per_sec" (Batch.throughput cold);
+  metric_f "store" "warm_jobs_per_sec" (Batch.throughput warm);
+  metric_f "store" "preloaded_jobs_per_sec" (Batch.throughput hot);
+  metric_i "store" "warm_store_misses" warm.Batch.store_misses;
+  metric "store" "warm_verdicts_match" (string_of_bool matches)
 
 (* ------------------------------------------------------------------ *)
 (* MODSYS: compositional certification — module summaries persist in
@@ -1399,14 +1266,6 @@ let modsys_bench ~sizes ~modules () =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "ifc-bench-modsys-%d" (Unix.getpid ()))
-  in
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-        Sys.rmdir path
-      end
-      else Sys.remove path
   in
   rm_rf dir;
   (match Store.open_ dir with
@@ -1684,11 +1543,7 @@ let () =
     | "scaling" -> scaling ~sizes ()
     | "ni" -> soundness ~corpus:(if quick then 15 else 30) ()
     | "pipeline" -> pipeline ~corpus:(if quick then 60 else 240) ()
-    | "store" ->
-      store_bench
-        ~corpus:(if quick then 40 else 120)
-        ~edits:(if quick then 50 else 200)
-        ()
+    | "store" -> store_bench ~corpus:(if quick then 40 else 120) ()
     | "modsys" ->
       modsys_bench
         ~sizes:(if quick then [ 10; 100; 1000 ] else [ 10; 100; 1000; 4000 ])

@@ -45,7 +45,6 @@ module Linked = Ifc_cert.Linked
 module Msummary = Ifc_modsys.Summary
 module Mlink = Ifc_modsys.Link
 module Mrefine = Ifc_modsys.Refine
-module Mdflow = Ifc_modsys.Dflow
 module Dwitness = Ifc_dataflow.Witness
 module Dsummary = Ifc_dataflow.Dsummary
 module Conn = Ifc_server.Conn
@@ -331,28 +330,15 @@ let denning_cmd =
 (* ------------------------------------------------------------------ *)
 (* lint *)
 
-let run_lint json explain no_prune modular store_dir lattice_name binding_file
-    path =
+let run_lint json explain no_prune modular lattice_name binding_file path =
   exit_of_verdict
     (let* p, presult =
        if modular then
-         (* The summary path: per-module dataflow facts resolve from the
-            store (or are computed once and persisted); only main is
-            analyzed fresh, and the facts re-apply to the elaboration
-            without re-walking neighbour bodies. *)
+         (* Each module's dataflow facts come from its own body and
+            re-apply to the elaboration. *)
          let* l = load_linked path in
-         let* store =
-           match store_dir with
-           | None -> Ok None
-           | Some dir ->
-             let* s = Store.open_ dir in
-             Ok (Some s)
-         in
-         let outcome = Mdflow.linked ?store l in
-         Fmt.epr "dataflow: %d summaries computed, %d reused from store@."
-           outcome.Mdflow.computed outcome.Mdflow.reused;
          let p = Mlink.elaborate l in
-         Ok (p, Some (Dsummary.apply p outcome.Mdflow.facts))
+         Ok (p, Some (Dsummary.apply p (Dsummary.of_linked l)))
        else
          let* p = load_program path in
          Ok (p, None)
@@ -483,17 +469,7 @@ let lint_cmd =
       & info [ "modular" ]
           ~doc:
             "Treat $(i,PROGRAM) as a linked unit and lint its elaboration \
-             with per-module dataflow facts resolved from summaries \
-             ($(b,--store)) instead of re-walking module bodies.")
-  in
-  let store_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "store" ] ~docv:"DIR"
-          ~doc:
-            "With $(b,--modular): persist and reuse per-module dataflow \
-             summaries keyed by structural digest.")
+             with dataflow facts taken from each module's own body.")
   in
   Cmd.v
     (Cmd.info "lint"
@@ -505,8 +481,8 @@ let lint_cmd =
           unreachable branches, and dead stores. Exit code 2 when there \
           are findings.")
     Term.(
-      const run_lint $ json $ explain $ no_prune $ modular $ store_arg
-      $ lattice_arg $ binding_arg $ program_arg)
+      const run_lint $ json $ explain $ no_prune $ modular $ lattice_arg
+      $ binding_arg $ program_arg)
 
 (* ------------------------------------------------------------------ *)
 (* infer *)
@@ -2395,22 +2371,9 @@ let run_modsys_summary lattice_name store_dir path =
        List.fold_left
          (fun acc (m : Ast.module_unit) ->
            let* () = acc in
-           let key = Msummary.key ~lattice:lat m in
-           let* origin, s =
-             match
-               Option.bind store (fun st -> Msummary.of_store st ~key)
-             with
-             | Some s -> Ok ("store", s)
-             | None ->
-               let* s =
-                 Result.map_error
-                   (Fmt.str "module %s: %s" m.Ast.iface.Ast.m_name)
-                   (Msummary.summarize ~lattice:lat m)
-               in
-               Option.iter (fun st -> Msummary.to_store st ~key s) store;
-               Ok ("fresh", s)
-           in
-           Fmt.pr "module %s (%s)@." s.Linked.m_name origin;
+           let* s, stored = Msummary.resolve ?store ~lattice:lat m in
+           Fmt.pr "module %s (%s)@." s.Linked.m_name
+             (if stored then "store" else "fresh");
            List.iter (fun line -> Fmt.pr "%s@." line) (Linked.summary_to_lines s);
            Ok ())
          (Ok ()) l.Ast.modules
@@ -2431,7 +2394,7 @@ let run_modsys_link lattice_name store_dir out components_dir path =
        Ok false
      end
      else
-       let* text, components = Mlink.emit ?store ~lattice:lat l in
+       let* text, components = Mlink.emit ~lattice:lat l outcome in
        let* () =
          match components_dir with
          | None -> Ok ()

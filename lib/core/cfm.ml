@@ -1,8 +1,8 @@
 (* The Concurrent Flow Mechanism (Figure 2), written once. [combine] is
    the table: one construct's mod, flow and cert from its children's,
    over a class algebra. [fold] is the single post-order pass that
-   computes it. CFM proper is the concrete algebra; the incremental
-   certifier and module summaries bring their own. *)
+   computes it. CFM proper is the concrete algebra; module summaries
+   bring their own. *)
 
 module Lattice = Ifc_lattice.Lattice
 module Extended = Ifc_lattice.Extended

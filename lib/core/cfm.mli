@@ -15,15 +15,12 @@
 
     Figure 2 is written once, as {!combine}: one construct's summary from
     its children's, over a class {!algebra}. {!fold} is the post-order
-    pass. It has three instances:
+    pass. It has two instances:
 
     - the concrete one ({!algebra}), whose classes are a binding's and
       whose checks are decided on the spot — CFM itself: {!analyze}
       records each check as it decides it, and {!certified}, {!mod_of}
       and {!flow_of} project the fold's summary;
-    - the same algebra under a digest-keyed memo of subtree summaries
-      ([Ifc_store.Incremental]), which calls {!combine} only on nodes
-      it has not seen;
     - a symbolic one whose classes mention the unknown classes of a
       module's imports ([Ifc_modsys.Summary]): a check between concrete
       classes is decided, and any other becomes a residual constraint.

@@ -1,140 +1,31 @@
-(* Dataflow facts as a storable line. *)
+(* Dataflow facts: what pruning found, re-applicable to a larger program. *)
 
 module Ast = Ifc_lang.Ast
 module Loc = Ifc_lang.Loc
 
-type fact_pruned = {
-  f_arm : string;
-  f_span : Loc.span;
-  f_stmt_span : Loc.span;
-  f_const : bool;
-}
-
 type t = {
-  d_pruned : fact_pruned list;
+  d_pruned : Prune.pruned list;
   d_dead : (string * Loc.span) list;
 }
 
-let empty = { d_pruned = []; d_dead = [] }
+let of_program p =
+  let r = Prune.analyze p in
+  { d_pruned = r.Prune.pruned; d_dead = r.Prune.dead_stores }
 
-let of_result (r : Prune.result) =
-  {
-    d_pruned =
-      List.map
-        (fun (pr : Prune.pruned) ->
-          {
-            f_arm = Prune.arm_name pr.Prune.p_arm;
-            f_span = pr.Prune.p_span;
-            f_stmt_span = pr.Prune.p_stmt_span;
-            f_const = pr.Prune.p_const_guard;
-          })
-        r.Prune.pruned;
-    d_dead = r.Prune.dead_stores;
-  }
-
-let of_program p = of_result (Prune.analyze p)
-
-let concat ts =
+let of_linked (l : Ast.linked) =
+  let ts =
+    List.map (fun m -> of_program (Ast.module_program m)) l.Ast.modules
+    @ Option.to_list (Option.map of_program l.Ast.main)
+  in
   {
     d_pruned = List.concat_map (fun t -> t.d_pruned) ts;
     d_dead = List.concat_map (fun t -> t.d_dead) ts;
   }
 
-(* ---- line round-trip ----
-
-   dataflow 1|pruned=ARM,SPAN,SPAN,0or1;...|dead=VAR,SPAN;...
-   where SPAN is line.col-line.col. Arm names contain a space ("loop
-   body"), never the separators. *)
-
-let render_span (s : Loc.span) =
-  Printf.sprintf "%d.%d-%d.%d" s.Loc.start.Loc.line s.Loc.start.Loc.col
-    s.Loc.stop.Loc.line s.Loc.stop.Loc.col
-
-let parse_span str =
-  match String.split_on_char '-' str with
-  | [ a; b ] -> (
-    let pos s =
-      match String.split_on_char '.' s with
-      | [ l; c ] -> (
-        match (int_of_string_opt l, int_of_string_opt c) with
-        | Some line, Some col -> Some { Loc.line; Loc.col }
-        | _ -> None)
-      | _ -> None
-    in
-    match (pos a, pos b) with
-    | Some start, Some stop -> Ok { Loc.start; Loc.stop }
-    | _ -> Error ("bad position in span " ^ str))
-  | _ -> Error ("bad span " ^ str)
-
-let render t =
-  let pruned =
-    String.concat ";"
-      (List.map
-         (fun f ->
-           Printf.sprintf "%s,%s,%s,%d" f.f_arm (render_span f.f_span)
-             (render_span f.f_stmt_span)
-             (if f.f_const then 1 else 0))
-         t.d_pruned)
-  in
-  let dead =
-    String.concat ";"
-      (List.map
-         (fun (x, sp) -> Printf.sprintf "%s,%s" x (render_span sp))
-         t.d_dead)
-  in
-  Printf.sprintf "dataflow 1|pruned=%s|dead=%s" pruned dead
-
-let ( let* ) = Result.bind
-
-let parse line =
-  match String.split_on_char '|' line with
-  | [ "dataflow 1"; pruned_f; dead_f ] ->
-    let strip prefix s =
-      if String.length s >= String.length prefix
-         && String.sub s 0 (String.length prefix) = prefix
-      then Ok (String.sub s (String.length prefix) (String.length s - String.length prefix))
-      else Error ("expected " ^ prefix ^ "... in dataflow facts")
-    in
-    let items s =
-      if s = "" then [] else String.split_on_char ';' s
-    in
-    let* pruned_s = strip "pruned=" pruned_f in
-    let* dead_s = strip "dead=" dead_f in
-    let* d_pruned =
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          match String.split_on_char ',' item with
-          | [ arm; sp; ssp; c ] ->
-            let* f_span = parse_span sp in
-            let* f_stmt_span = parse_span ssp in
-            Ok ({ f_arm = arm; f_span; f_stmt_span; f_const = c = "1" } :: acc)
-          | _ -> Error ("bad pruned fact " ^ item))
-        (Ok []) (items pruned_s)
-    in
-    let* d_dead =
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          match String.split_on_char ',' item with
-          | [ x; sp ] ->
-            let* span = parse_span sp in
-            Ok ((x, span) :: acc)
-          | _ -> Error ("bad dead-store fact " ^ item))
-        (Ok []) (items dead_s)
-    in
-    Ok { d_pruned = List.rev d_pruned; d_dead = List.rev d_dead }
-  | _ -> Error "not a dataflow facts line"
-
 let apply (p : Ast.program) t =
-  let arm_of = function
-    | "then" -> Cfg.Then
-    | "else" -> Cfg.Else
-    | _ -> Cfg.Loop_body
-  in
   let listed span =
     (not (Loc.is_dummy span))
-    && List.exists (fun f -> f.f_span = span) t.d_pruned
+    && List.exists (fun (pr : Prune.pruned) -> pr.Prune.p_span = span) t.d_pruned
   in
   let skip_of (s : Ast.stmt) = { s with Ast.node = Ast.Skip } in
   let rec walk (s : Ast.stmt) =
@@ -152,16 +43,7 @@ let apply (p : Ast.program) t =
   in
   {
     Prune.program = { p with Ast.body = walk p.Ast.body };
-    pruned =
-      List.map
-        (fun f ->
-          {
-            Prune.p_arm = arm_of f.f_arm;
-            p_span = f.f_span;
-            p_stmt_span = f.f_stmt_span;
-            p_const_guard = f.f_const;
-          })
-        t.d_pruned;
+    pruned = t.d_pruned;
     dead_stores = t.d_dead;
     iterations = 0;
     visits = 0;

@@ -1,42 +1,26 @@
-(** Per-module dataflow facts, rendered to a single line.
+(** Per-module dataflow facts.
 
     The facts a module contributes to a linked lint — its statically
     unreachable arms and dead stores — depend only on the module body:
     the interval analysis starts from an unconstrained entry state, so
-    whatever the linking context, the facts stay sound. That makes them
-    cacheable through the store's summary seam (see
-    [Ifc_modsys.Dflow]); this module is the context-free core — facts,
-    their line round-trip, and re-application to an elaborated
-    program — with no store dependency. *)
+    whatever the linking context, the facts stay sound. {!of_linked}
+    collects them module by module, and {!apply} re-applies them to the
+    elaborated unit. *)
 
 module Ast = Ifc_lang.Ast
 module Loc = Ifc_lang.Loc
 
-type fact_pruned = {
-  f_arm : string;  (** ["then"], ["else"], or ["loop body"]. *)
-  f_span : Loc.span;
-  f_stmt_span : Loc.span;
-  f_const : bool;
-}
-
 type t = {
-  d_pruned : fact_pruned list;
+  d_pruned : Prune.pruned list;
   d_dead : (string * Loc.span) list;
 }
-
-val empty : t
 
 val of_program : Ast.program -> t
 (** Run {!Prune.analyze} and keep the facts. *)
 
-val of_result : Prune.result -> t
-
-val concat : t list -> t
-
-val render : t -> string
-(** One line, no newlines; [parse] inverts it. *)
-
-val parse : string -> (t, string) result
+val of_linked : Ast.linked -> t
+(** Each module's facts ({!of_program} of {!Ifc_lang.Ast.module_program}),
+    in unit order, then the main program's, concatenated. *)
 
 val apply : Ast.program -> t -> Prune.result
 (** Re-apply recorded facts to a program containing the summarized

@@ -23,6 +23,7 @@ type outcome = {
   summaries : Linked.summary list;
   computed : int;
   reused : int;
+  binding : string Binding.t;
 }
 
 let elaborate (l : Ast.linked) =
@@ -44,24 +45,14 @@ let render_constr = function
 
 (* Resolve each module to a summary, store-backed when possible. *)
 let summaries ?store ~lattice ?default (l : Ast.linked) =
-  let computed = ref 0 and reused = ref 0 in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc, !computed, !reused)
-    | (m : Ast.module_unit) :: rest -> (
-      let key = Summary.key ~lattice ?default m in
-      match Option.bind store (fun st -> Summary.of_store st ~key) with
-      | Some s ->
-        incr reused;
-        go (s :: acc) rest
-      | None -> (
-        match Summary.summarize ~lattice ?default m with
-        | Error e -> Error (Printf.sprintf "module %s: %s" m.Ast.iface.Ast.m_name e)
-        | Ok s ->
-          incr computed;
-          Option.iter (fun st -> Summary.to_store st ~key s) store;
-          go (s :: acc) rest))
+  let rec go acc computed reused = function
+    | [] -> Ok (List.rev acc, computed, reused)
+    | m :: rest ->
+      Result.bind (Summary.resolve ?store ~lattice ?default m) (fun (s, stored) ->
+          if stored then go (s :: acc) computed (reused + 1) rest
+          else go (s :: acc) (computed + 1) reused rest)
   in
-  go [] l.Ast.modules
+  go [] 0 0 l.Ast.modules
 
 let certify ?store ~lattice ?default (l : Ast.linked) =
   match Wellformed.linked_errors l with
@@ -172,87 +163,84 @@ let certify ?store ~lattice ?default (l : Ast.linked) =
             summaries = sums;
             computed;
             reused;
+            binding = bind;
           }))
 
-let emit ?store ?(with_components = true) ~lattice ?default (l : Ast.linked) =
-  Result.bind (certify ?store ~lattice ?default l) (fun outcome ->
-      if not outcome.ok then
-        Error
-          ("linked unit does not certify: "
-          ^ String.concat "; " (if outcome.issues = [] then [ "?" ] else outcome.issues))
+let emit ?(with_components = true) ~lattice ?default (l : Ast.linked) outcome =
+  if not outcome.ok then
+    Error
+      ("linked unit does not certify: "
+      ^ String.concat "; " (if outcome.issues = [] then [ "?" ] else outcome.issues))
+  else
+    let bind = outcome.binding in
+    let to_s = lattice.Lattice.to_string in
+    let binds =
+      Sset.elements (Linked.bind_domain l)
+      |> List.map (fun v -> (v, to_s (Binding.sbind bind v)))
+    in
+    (* Component certificates: a version-1 proof of each module's
+       import-closed body, when one exists (a module may certify only in
+       its linked context — then the summary stands alone and its cert
+       field stays "-"). *)
+    let components, summaries =
+      if not with_components then ([], outcome.summaries)
       else
-        Result.bind (binding ~lattice ?default l) (fun bind ->
-            let to_s = lattice.Lattice.to_string in
-            let binds =
-              Sset.elements (Linked.bind_domain l)
-              |> List.map (fun v -> (v, to_s (Binding.sbind bind v)))
+        List.fold_left2
+          (fun (comps, sums) (m : Ast.module_unit) (s : Linked.summary) ->
+            let keep () = (comps, s :: sums) in
+            let cp = Linked.closed_program m in
+            match Binding.of_program lattice ?default cp with
+            | Error _ -> keep ()
+            | Ok cb ->
+              if not (Cfm.certified cb cp.Ast.body) then keep ()
+              else (
+                match Invariance.witness cb cp.Ast.body with
+                | Error _ -> keep ()
+                | Ok proof ->
+                  let text =
+                    Cert.to_string (Cert.of_proof ~binding:cb ~program:cp proof)
+                  in
+                  let digest = Digest.to_hex (Digest.string text) in
+                  ( (s.Linked.m_name, text) :: comps,
+                    { s with Linked.cert_digest = Some digest } :: sums )))
+          ([], []) l.Ast.modules outcome.summaries
+        |> fun (comps, sums) -> (List.rev comps, List.rev sums)
+    in
+    let main_cert =
+      match Linked.main_program ~binds l with
+      | None -> Ok None
+      | Some mp -> (
+        match Invariance.witness bind mp.Ast.body with
+        | Ok proof -> Ok (Some (Cert.of_proof ~binding:bind ~program:mp proof))
+        | Error _ -> Error "main program admits no invariant proof")
+    in
+    Result.bind main_cert (fun main_cert ->
+        let cert =
+          {
+            Linked.linked_digest = Linked.linked_digest l;
+            lattice;
+            binds;
+            summaries;
+            main_cert;
+          }
+        in
+        let text = Linked.to_string cert in
+        (* Self-check before handing the certificate out. *)
+        match Linked.parse text with
+        | Error e ->
+          Error
+            (Printf.sprintf "emitted certificate does not parse (line %d: %s)"
+               e.Cert.line e.Cert.reason)
+        | Ok parsed -> (
+          match Linked.check ~components:(List.map snd components) parsed l with
+          | Ok () -> Ok (text, components)
+          | Error fs ->
+            let show (f : Linked.failure) =
+              Printf.sprintf "%s: %s: %s" f.Linked.path f.Linked.rule f.Linked.reason
             in
-            (* Component certificates: a version-1 proof of each module's
-               import-closed body, when one exists (a module may certify
-               only in its linked context — then the summary stands alone
-               and its cert field stays "-"). *)
-            let components, summaries =
-              if not with_components then ([], outcome.summaries)
-              else
-                List.fold_left2
-                  (fun (comps, sums) (m : Ast.module_unit) (s : Linked.summary) ->
-                    let keep () = (comps, s :: sums) in
-                    let cp = Linked.closed_program m in
-                    match Binding.of_program lattice ?default cp with
-                    | Error _ -> keep ()
-                    | Ok cb ->
-                      if not (Cfm.certified cb cp.Ast.body) then keep ()
-                      else (
-                        match Invariance.witness cb cp.Ast.body with
-                        | Error _ -> keep ()
-                        | Ok proof ->
-                          let text =
-                            Cert.to_string (Cert.of_proof ~binding:cb ~program:cp proof)
-                          in
-                          let digest = Digest.to_hex (Digest.string text) in
-                          ( (s.Linked.m_name, text) :: comps,
-                            { s with Linked.cert_digest = Some digest } :: sums )))
-                  ([], []) l.Ast.modules outcome.summaries
-                |> fun (comps, sums) -> (List.rev comps, List.rev sums)
-            in
-            let main_cert =
-              match Linked.main_program ~binds l with
-              | None -> Ok None
-              | Some mp -> (
-                match Invariance.witness bind mp.Ast.body with
-                | Ok proof -> Ok (Some (Cert.of_proof ~binding:bind ~program:mp proof))
-                | Error _ -> Error "main program admits no invariant proof")
-            in
-            Result.bind main_cert (fun main_cert ->
-                let cert =
-                  {
-                    Linked.linked_digest = Linked.linked_digest l;
-                    lattice;
-                    binds;
-                    summaries;
-                    main_cert;
-                  }
-                in
-                let text = Linked.to_string cert in
-                (* Self-check before handing the certificate out. *)
-                match Linked.parse text with
-                | Error e ->
-                  Error
-                    (Printf.sprintf "emitted certificate does not parse (line %d: %s)"
-                       e.Cert.line e.Cert.reason)
-                | Ok parsed -> (
-                  match
-                    Linked.check ~components:(List.map snd components) parsed l
-                  with
-                  | Ok () -> Ok (text, components)
-                  | Error fs ->
-                    let show (f : Linked.failure) =
-                      Printf.sprintf "%s: %s: %s" f.Linked.path f.Linked.rule
-                        f.Linked.reason
-                    in
-                    Error
-                      ("emitted certificate fails self-check: "
-                      ^ String.concat "; " (List.map show fs))))))
+            Error
+              ("emitted certificate fails self-check: "
+              ^ String.concat "; " (List.map show fs))))
 
 (* A digest-cached pipeline analysis for a linked unit. The closure
    ignores the spec's binding/program (the elaboration — equal inputs by
@@ -274,6 +262,6 @@ let job_analysis ?store ~lattice ?default (l : Ast.linked) =
           in
           if not o.ok then (false, checks, None)
           else (
-            match emit ?store ~lattice ?default l with
+            match emit ~lattice ?default l o with
             | Ok (text, _) -> (true, checks, Some text)
             | Error _ -> (false, checks, None)) )

@@ -1,8 +1,8 @@
 (** Linking certified modules from their summaries alone.
 
     [certify] never re-walks a module body: each module resolves to a
-    summary (store-backed via {!Summary.of_store} when a store is
-    supplied, computed and persisted otherwise), and the link step
+    summary ({!Summary.resolve}: from the store when one is supplied and
+    holds it, computed otherwise), and the link step
     evaluates — in time proportional to interface size —
 
     - every summary's residual constraints under the linked binding,
@@ -34,6 +34,7 @@ type outcome = {
   summaries : Linked.summary list;  (** One per module, in unit order. *)
   computed : int;  (** Summaries computed this call. *)
   reused : int;  (** Summaries served from the store. *)
+  binding : string Ifc_core.Binding.t;  (** The linked binding ({!binding}). *)
 }
 
 val elaborate : Ifc_lang.Ast.linked -> Ifc_lang.Ast.program
@@ -59,19 +60,20 @@ val certify :
     outcome. *)
 
 val emit :
-  ?store:Store.t ->
   ?with_components:bool ->
   lattice:string Lattice.t ->
   ?default:string ->
   Ifc_lang.Ast.linked ->
+  outcome ->
   (string * (string * string) list, string) result
-(** [emit l] certifies and serializes an [ifc-cert 2] certificate,
-    returning its text plus [(module name, component certificate text)]
-    for every module whose import-closed body admits a version-1
-    certificate ([~with_components:false] skips those). The linked
-    certificate is parsed back and re-checked with
+(** [emit ~lattice l o] serializes [o] — {!certify}'s outcome for [l]
+    under the same [lattice] and [default] — as an [ifc-cert 2]
+    certificate, returning its text plus [(module name, component
+    certificate text)] for every module whose import-closed body admits
+    a version-1 certificate ([~with_components:false] skips those). The
+    linked certificate is parsed back and re-checked with
     {!Ifc_cert.Linked.check} (components included) before being
-    returned; a unit that does not certify is an [Error]. *)
+    returned; an outcome that does not certify is an [Error]. *)
 
 val job_analysis :
   ?store:Store.t ->

@@ -174,17 +174,29 @@ let key ~lattice ?default m =
             default_s;
           ]))
 
-let of_store store ~key =
-  match Store.find_summary store ~digest:key with
-  | None -> None
-  | Some s -> (
-    match Linked.summary_of_line s.Store.s_mod with
-    | Ok summary when summary.Linked.locals_ok = s.Store.s_cert -> Some summary
-    | Ok _ | Error _ -> None)
-
-let to_store store ~key (s : Linked.summary) =
-  Store.add_summary store ~digest:key
-    { Store.s_mod = Linked.summary_to_line s; s_flow = None; s_cert = s.Linked.locals_ok }
+(* The store answers only a payload that parses back to a summary; any
+   other is a miss, and the fresh summary overwrites it. *)
+let resolve ?store ~lattice ?default (m : Ast.module_unit) =
+  let fresh () =
+    Result.map_error
+      (Printf.sprintf "module %s: %s" m.iface.m_name)
+      (summarize ~lattice ?default m)
+  in
+  match store with
+  | None -> Result.map (fun s -> (s, false)) (fresh ())
+  | Some st -> (
+    let digest = key ~lattice ?default m in
+    match
+      Option.bind (Store.find_summary st ~digest) (fun payload ->
+          Result.to_option (Linked.summary_of_line payload))
+    with
+    | Some s -> Ok (s, true)
+    | None ->
+      Result.map
+        (fun s ->
+          Store.add_summary st ~digest (Linked.summary_to_line s);
+          (s, false))
+        (fresh ()))
 
 (* ------------------------------------------------------------------ *)
 (* Resolution under a concrete class assignment *)

@@ -14,10 +14,10 @@
     by interface size and lattice size, never by module body size.
 
     The equivalence "summary resolved under a linked binding = direct CFM
-    on the body" is under test on random modules. Summaries are persisted
-    through the store's summary seam ({!Ifc_store.Store.add_summary}),
-    keyed by {!key} — the module's structural digest plus the
-    classification context. *)
+    on the body" is under test on random modules. {!resolve} persists
+    summaries through the store's summary seam
+    ({!Ifc_store.Store.add_summary}), keyed by the module's structural
+    digest plus the classification context. *)
 
 module Lattice := Ifc_lattice.Lattice
 module Linked := Ifc_cert.Linked
@@ -35,18 +35,19 @@ val summarize :
     bound. The summary's [cert_digest] is [None]; {!Link.emit} fills it
     when a component certificate is emitted. *)
 
-val key :
-  lattice:string Lattice.t -> ?default:string -> Ifc_lang.Ast.module_unit -> string
-(** The store digest for [m]'s summary: MD5 over the module's structural
-    digest and the context (lattice name, elements, default class). Two
-    sessions with equal contexts share summaries; any difference changes
-    every key. *)
-
-val of_store : Store.t -> key:string -> Linked.summary option
-(** Look a summary up through the store's summary seam (checksummed,
-    quarantined on damage — see {!Ifc_store.Store.find_summary}). *)
-
-val to_store : Store.t -> key:string -> Linked.summary -> unit
+val resolve :
+  ?store:Store.t ->
+  lattice:string Lattice.t ->
+  ?default:string ->
+  Ifc_lang.Ast.module_unit ->
+  (Linked.summary * bool, string) result
+(** [resolve ?store ~lattice m] is [m]'s summary and whether [store]
+    answered it. With [store], a summary stored under [m]'s key — an MD5
+    over the module's structural digest, the lattice's name and
+    elements, and the default class — is reused; otherwise the summary
+    is computed by {!summarize} and stored under that key. Two sessions
+    with equal contexts share summaries; any difference changes every
+    key. [Error] is {!summarize}'s, prefixed with the module name. *)
 
 val resolve_smod :
   lattice:string Lattice.t ->

@@ -161,7 +161,7 @@ let scan_bool sc key =
   | None -> raise (Malformed ("bad " ^ key))
 
 let entry_magic = "ifc-store-entry 1"
-let summary_magic = "ifc-store-summary 1"
+let summary_magic = "ifc-store-summary 2"
 
 let render_entry ~digest ~generation (results : Job.analysis_result list) =
   let b = Buffer.create 256 in
@@ -216,25 +216,16 @@ let parse_entry raw =
   scan_done sc;
   (digest, generation, results)
 
-type summary = { s_mod : string; s_flow : string option; s_cert : bool }
-
-let render_summary ~digest ~generation s =
-  let one_line v =
-    if String.contains v '\n' then raise (Malformed "class renders multi-line")
-    else v
-  in
-  let b = Buffer.create 128 in
+(* A summary is an opaque payload, length-framed so it may hold any
+   bytes; its owner renders and parses it. *)
+let render_summary ~digest ~generation payload =
+  let b = Buffer.create (String.length payload + 96) in
   Buffer.add_string b (summary_magic ^ "\n");
   Buffer.add_string b (Printf.sprintf "digest %s\n" digest);
   Buffer.add_string b (Printf.sprintf "generation %d\n" generation);
-  Buffer.add_string b
-    (Printf.sprintf "mod %d\n%s\n" (String.length s.s_mod) (one_line s.s_mod));
-  (match s.s_flow with
-  | None -> Buffer.add_string b "flow -\n"
-  | Some f ->
-    Buffer.add_string b
-      (Printf.sprintf "flow %d\n%s\n" (String.length f) (one_line f)));
-  Buffer.add_string b (Printf.sprintf "cert %b\n" s.s_cert);
+  Buffer.add_string b (Printf.sprintf "payload %d\n" (String.length payload));
+  Buffer.add_string b payload;
+  Buffer.add_char b '\n';
   seal (Buffer.contents b)
 
 let parse_summary raw =
@@ -244,22 +235,9 @@ let parse_summary raw =
   let digest = scan_field sc "digest" in
   if not (is_digest_name digest) then raise (Malformed "bad digest");
   let generation = scan_int sc "generation" in
-  let s_mod =
-    match int_of_string_opt (scan_field sc "mod") with
-    | Some n -> scan_bytes sc n
-    | None -> raise (Malformed "bad mod length")
-  in
-  let s_flow =
-    match scan_field sc "flow" with
-    | "-" -> None
-    | len -> (
-      match int_of_string_opt len with
-      | Some n -> Some (scan_bytes sc n)
-      | None -> raise (Malformed "bad flow length"))
-  in
-  let s_cert = scan_bool sc "cert" in
+  let payload = scan_bytes sc (scan_int sc "payload") in
   scan_done sc;
-  (digest, generation, { s_mod; s_flow; s_cert })
+  (digest, generation, payload)
 
 (* ------------------------------------------------------------------ *)
 (* Manifest and opening *)
@@ -378,14 +356,11 @@ let find ?(validate = fun _ -> true) t ~digest =
 (* ------------------------------------------------------------------ *)
 (* Summaries *)
 
-let add_summary t ~digest s =
+let add_summary t ~digest payload =
   with_lock t (fun () ->
-      match render_summary ~digest ~generation:t.generation s with
-      | rendered -> write_atomic t ~dest:(summaries_dir t / digest) rendered
-      | exception Malformed _ ->
-        (* A class that renders multi-line cannot be framed; skip
-           persistence rather than write an unparseable file. *)
-        ())
+      write_atomic t
+        ~dest:(summaries_dir t / digest)
+        (render_summary ~digest ~generation:t.generation payload))
 
 let find_summary t ~digest =
   with_lock t (fun () ->
@@ -393,19 +368,19 @@ let find_summary t ~digest =
       if not (Sys.file_exists path) then None
       else
         match
-          let stored, stamped, s = parse_summary (read_file path) in
+          let stored, stamped, payload = parse_summary (read_file path) in
           if not (String.equal stored digest) then
             raise (Malformed "digest does not match file name");
-          (stamped, s)
+          (stamped, payload)
         with
         | exception (Malformed _ | Sys_error _) ->
           quarantine t path;
           None
-        | stamped, s ->
+        | stamped, payload ->
           if stamped < t.generation then
             write_atomic t ~dest:path
-              (render_summary ~digest ~generation:t.generation s);
-          Some s)
+              (render_summary ~digest ~generation:t.generation payload);
+          Some payload)
 
 (* ------------------------------------------------------------------ *)
 (* Warm start *)

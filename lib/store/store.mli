@@ -17,7 +17,7 @@
     {v
     manifest            generation counter (bumped per open)
     objects/<digest>    one analysis-result entry per job digest
-    summaries/<digest>  one subtree flow summary per {!Incremental} digest
+    summaries/<digest>  one opaque summary payload (a module summary) per key
     tmp/                write staging; leftovers are swept by gc
     quarantine/         damaged files moved aside, kept for forensics
     v}
@@ -74,22 +74,22 @@ val add : t -> digest:string -> Job.analysis_result list -> unit
 (** Persist one result set under [digest] (atomic write-then-rename;
     last writer wins). Counts one write. *)
 
-(** {1 Subtree summaries}
+(** {1 Summaries}
 
-    Persistence for {!Incremental}: class values are stored as rendered
-    strings so the store itself stays lattice-agnostic. *)
+    A keyed side table for callers that memoise their own artifacts
+    (module summaries, [Ifc_modsys.Summary]). The payload is opaque:
+    the store frames it by length, so any bytes round-trip, and its
+    checksum covers it. The caller owns the key and the payload's
+    format. *)
 
-type summary = {
-  s_mod : string;  (** Rendered [mod] class. *)
-  s_flow : string option;  (** Rendered [flow] class; [None] is [nil]. *)
-  s_cert : bool;  (** Is the subtree certified? *)
-}
+val find_summary : t -> digest:string -> string option
+(** Checksum-verified like {!find}: a damaged file, or one written in an
+    older summary format, is quarantined and answers [None]. A hit
+    re-stamps. Does not count toward entry hit/miss statistics. *)
 
-val find_summary : t -> digest:string -> summary option
-(** Checksum-verified like {!find} (corrupt summaries are quarantined);
-    a hit re-stamps. Does not count toward entry hit/miss statistics. *)
-
-val add_summary : t -> digest:string -> summary -> unit
+val add_summary : t -> digest:string -> string -> unit
+(** Persist one payload under [digest] (atomic write-then-rename; last
+    writer wins). *)
 
 (** {1 Warm start} *)
 

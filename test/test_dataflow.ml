@@ -2,8 +2,8 @@
    solver order-independence, widening termination on adversarial loop
    nests, interval/concrete agreement, guard-lint delegation pinned
    byte-for-byte, infeasible-path pruning cross-checked against the
-   executor, dead stores, flow-witness replay, and summary round-trips
-   through the store seam. *)
+   executor, dead stores, flow-witness replay, and per-module facts
+   re-applied to a linked unit's elaboration. *)
 
 module Ast = Ifc_lang.Ast
 module Loc = Ifc_lang.Loc
@@ -20,8 +20,6 @@ module Interval = Ifc_dataflow.Interval
 module Prune = Ifc_dataflow.Prune
 module Witness = Ifc_dataflow.Witness
 module Dsummary = Ifc_dataflow.Dsummary
-module Dflow = Ifc_modsys.Dflow
-module Store = Ifc_store.Store
 module Sset = Ifc_support.Sset
 module Prng = Ifc_support.Prng
 
@@ -460,38 +458,17 @@ let test_witness_corruption_caught () =
 (* ------------------------------------------------------------------ *)
 (* Summaries *)
 
-let test_dsummary_roundtrip =
-  qtest "dataflow facts round-trip through the summary line"
+let test_dsummary_apply =
+  qtest "facts re-apply as direct pruning"
     (Qcheck_arbitrary.program ~max_size:25 ())
     (fun p0 ->
       let p = with_spans p0 in
-      let facts = Dsummary.of_program p in
-      match Dsummary.parse (Dsummary.render facts) with
-      | Error e -> QCheck.Test.fail_reportf "parse failed: %s" e
-      | Ok facts' ->
-        facts' = facts
-        &&
-        (* Re-applying recorded facts reproduces the directly pruned
-           program, statement for statement. *)
-        let direct = Prune.analyze p in
-        let applied = Dsummary.apply p facts' in
-        Pretty.program_to_string applied.Prune.program
-        = Pretty.program_to_string direct.Prune.program)
-
-let fresh_dir () =
-  let path = Filename.temp_file "ifc-dataflow" "" in
-  Sys.remove path;
-  path
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter
-        (fun f -> rm_rf (Filename.concat path f))
-        (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
+      (* Re-applying recorded facts reproduces the directly pruned
+         program, statement for statement. *)
+      let direct = Prune.analyze p in
+      let applied = Dsummary.apply p (Dsummary.of_program p) in
+      Pretty.program_to_string applied.Prune.program
+      = Pretty.program_to_string direct.Prune.program)
 
 let linked_src =
   "module helper\n\
@@ -506,40 +483,22 @@ let linked_src =
    var z : integer class low;\n\
    begin z := 1; z := 2 end"
 
-let test_dflow_store_reuse () =
+let test_dsummary_of_linked () =
   let l =
     match Parser.parse_linked linked_src with
     | Ok l -> l
     | Error e -> Alcotest.failf "parse_linked: %a" Parser.pp_error e
   in
-  let dir = fresh_dir () in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      let store =
-        match Store.open_ dir with
-        | Ok st -> st
-        | Error msg -> Alcotest.failf "store: %s" msg
-      in
-      let first = Dflow.linked ~store l in
-      check_int "first link computes the module" 1 first.Dflow.computed;
-      check_int "first link reuses nothing" 0 first.Dflow.reused;
-      let second = Dflow.linked ~store l in
-      check_int "second link computes nothing" 0 second.Dflow.computed;
-      check_int "second link reuses the module" 1 second.Dflow.reused;
-      check "facts identical" true (first.Dflow.facts = second.Dflow.facts);
-      (* The facts carry the module's dead store and pruned arm, and
-         re-apply to the elaboration. *)
-      check_int "one pruned arm recorded" 1
-        (List.length first.Dflow.facts.Dsummary.d_pruned);
-      check "dead store recorded" true
-        (List.exists
-           (fun (x, _) -> x = "z")
-           first.Dflow.facts.Dsummary.d_dead);
-      let p = Ifc_modsys.Link.elaborate l in
-      let applied = Dsummary.apply p first.Dflow.facts in
-      check_int "apply rewrites without re-walking" 0 applied.Prune.visits;
-      check "elaboration pruned" true (applied.Prune.pruned <> []))
+  let facts = Dsummary.of_linked l in
+  (* The facts carry the module's pruned arm and main's dead store, and
+     re-apply to the elaboration. *)
+  check_int "one pruned arm recorded" 1 (List.length facts.Dsummary.d_pruned);
+  check "dead store recorded" true
+    (List.exists (fun (x, _) -> x = "z") facts.Dsummary.d_dead);
+  let p = Ifc_modsys.Link.elaborate l in
+  let applied = Dsummary.apply p facts in
+  check_int "apply rewrites without re-walking" 0 applied.Prune.visits;
+  check "elaboration pruned" true (applied.Prune.pruned <> [])
 
 let suite =
   ( "dataflow",
@@ -566,9 +525,9 @@ let suite =
         test_witness_global_flow;
       Alcotest.test_case "corrupted witnesses fail replay" `Quick
         test_witness_corruption_caught;
-      test_dsummary_roundtrip;
-      Alcotest.test_case "summary reuse through the store" `Quick
-        test_dflow_store_reuse;
+      test_dsummary_apply;
+      Alcotest.test_case "linked unit facts re-apply" `Quick
+        test_dsummary_of_linked;
       Alcotest.test_case "solver order independence on pinned programs"
         `Quick test_solver_order_pinned;
     ] )

@@ -58,6 +58,11 @@ let open_exn dir =
   | Ok st -> st
   | Error msg -> Alcotest.failf "Store.open_ %s: %s" dir msg
 
+let overwrite path content =
+  let oc = open_out_bin path in
+  output_string oc content;
+  close_out oc
+
 let parse_linked_exn src =
   match Parser.parse_linked src with
   | Ok l -> l
@@ -332,8 +337,8 @@ let prop_link_agrees seed =
 (* ------------------------------------------------------------------ *)
 (* ifc-cert 2 *)
 
-let emit_exn ?store ?with_components l =
-  match Link.emit ?store ?with_components ~lattice:two l with
+let emit_exn l =
+  match Link.emit ~lattice:two l (certify_exn l) with
   | Ok (text, components) -> (text, components)
   | Error e -> Alcotest.failf "emit: %s" e
 
@@ -435,7 +440,50 @@ let test_store_reuse () =
       let l' = parse_linked_exn lib_src_edited in
       let o3 = certify_exn ~store:st l' in
       check_int "one module recomputed after the edit" 1 o3.Link.computed;
-      check_int "the other is reused" 1 o3.Link.reused)
+      check_int "the other is reused" 1 o3.Link.reused;
+      (* Damage degrades to a recompute: junk in every summary file is
+         quarantined, never served. *)
+      Array.iter
+        (fun name -> overwrite (dir // "summaries" // name) "rotten")
+        (Sys.readdir (dir // "summaries"));
+      let o4 = certify_exn ~store:st l in
+      check_int "junk summaries recomputed" 2 o4.Link.computed;
+      check_int "junk summaries not reused" 0 o4.Link.reused;
+      check "same verdict over a damaged store" o1.Link.ok o4.Link.ok;
+      check "junk summaries quarantined" true
+        ((Store.disk_stats st).Store.quarantined >= 2));
+  (* A whole, checksummed summary in the retired version-1 format under a
+     live key is a miss: recomputed, rewritten in the current format, and
+     reused from then on. *)
+  with_dir (fun dir ->
+      let l = parse_linked_exn lib_src in
+      let l1 = { l with Ast.modules = [ List.hd l.Ast.modules ] } in
+      let o = certify_exn ~store:(open_exn dir) l1 in
+      let name =
+        match Sys.readdir (dir // "summaries") with
+        | [| name |] -> name
+        | _ -> Alcotest.fail "expected one stored summary"
+      in
+      let s = List.hd o.Link.summaries in
+      let line = Linked.summary_to_line s in
+      let v1 =
+        Printf.sprintf
+          "ifc-store-summary 1\ndigest %s\ngeneration 1\nmod %d\n%s\nflow -\ncert %b\n"
+          name (String.length line) line s.Linked.locals_ok
+      in
+      overwrite
+        (dir // "summaries" // name)
+        (v1 ^ "checksum " ^ Digest.to_hex (Digest.string v1) ^ "\n");
+      let st = open_exn dir in
+      let o1 = certify_exn ~store:st l1 in
+      check_int "version-1 summary recomputed" 1 o1.Link.computed;
+      check_int "version-1 summary not reused" 0 o1.Link.reused;
+      check "rewritten in the current format" true
+        (String.starts_with ~prefix:"ifc-store-summary 2\n"
+           (In_channel.with_open_bin (dir // "summaries" // name) In_channel.input_all));
+      let o2 = certify_exn ~store:st l1 in
+      check_int "rewritten summary not recomputed" 0 o2.Link.computed;
+      check_int "rewritten summary reused" 1 o2.Link.reused)
 
 let test_store_roundtrip_summary () =
   with_dir (fun dir ->
@@ -444,12 +492,15 @@ let test_store_roundtrip_summary () =
       let m = List.hd l.Ast.modules in
       match Summary.summarize ~lattice:two m with
       | Error e -> Alcotest.failf "summarize: %s" e
-      | Ok s ->
-        let key = Summary.key ~lattice:two m in
-        Summary.to_store st ~key s;
-        (match Summary.of_store st ~key with
-        | None -> Alcotest.fail "stored summary must be found"
-        | Some s' -> check "summary round-trips through the store" true (s = s')))
+      | Ok s -> (
+        (match Summary.resolve ~store:st ~lattice:two m with
+        | Ok (_, stored) -> check "first resolve computes" false stored
+        | Error e -> Alcotest.failf "resolve: %s" e);
+        match Summary.resolve ~store:st ~lattice:two m with
+        | Ok (s', stored) ->
+          check "second resolve is answered by the store" true stored;
+          check "summary round-trips through the store" true (s = s')
+        | Error e -> Alcotest.failf "resolve: %s" e))
 
 (* ------------------------------------------------------------------ *)
 (* Refinement *)

@@ -2,23 +2,19 @@
    summary round-trips, crash safety (truncation, torn renames, junk —
    all must degrade to a recompute, never a wrong answer), generation
    heat (preload, record_heat, gc), the tier's independent certificate
-   re-validation, warm-restart batches, and incremental certification
-   agreeing with the reference CFM while recomputing only the spine. *)
+   re-validation, and warm-restart batches. *)
 
 module Lattice = Ifc_lattice.Lattice
 module Chain = Ifc_lattice.Chain
 module Ast = Ifc_lang.Ast
 module Gen = Ifc_lang.Gen
-module Metrics = Ifc_lang.Metrics
 module Prng = Ifc_support.Prng
 module Sset = Ifc_support.Sset
 module Binding = Ifc_core.Binding
-module Cfm = Ifc_core.Cfm
 module Cache = Ifc_pipeline.Cache
 module Job = Ifc_pipeline.Job
 module Batch = Ifc_pipeline.Batch
 module Store = Ifc_store.Store
-module Incremental = Ifc_store.Incremental
 
 let check = Alcotest.(check bool)
 
@@ -108,13 +104,13 @@ let test_entry_round_trip () =
 let test_summary_round_trip () =
   with_dir (fun dir ->
       let st = open_exn dir in
-      let s = { Store.s_mod = "high"; s_flow = None; s_cert = true } in
+      let s = "high" in
       Store.add_summary st ~digest:some_digest s;
       check "summary round-trips" true
         (Store.find_summary st ~digest:some_digest = Some s);
-      let s2 = { Store.s_mod = "low"; s_flow = Some "high"; s_cert = false } in
+      let s2 = "summary m:\n  locals: ok\n\n" in
       Store.add_summary st ~digest:some_digest s2;
-      check "last write wins" true
+      check "last write wins, newlines and all" true
         (Store.find_summary st ~digest:some_digest = Some s2))
 
 let test_reopen_bumps_generation () =
@@ -241,8 +237,7 @@ let test_verify_quarantines_junk_and_damage () =
   with_dir (fun dir ->
       let st = open_exn dir in
       Store.add st ~digest:some_digest [ result () ];
-      Store.add_summary st ~digest:some_digest
-        { Store.s_mod = "high"; s_flow = None; s_cert = true };
+      Store.add_summary st ~digest:some_digest "high";
       (* Three kinds of rot: a junk name, a zero-length entry, and an
          entry whose certificate artifact does not even parse. *)
       overwrite (dir // "objects" // "README") "not an entry";
@@ -409,139 +404,6 @@ let test_batch_warm_restart_from_store () =
       check_int "promoted pass is memory-only" 24 promoted.Batch.cache_hits;
       check_int "promoted pass never reaches disk" 0 promoted.Batch.store_hits)
 
-(* ------------------------------------------------------------------ *)
-(* Incremental certification *)
-
-let test_incremental_matches_cfm () =
-  let rng = Prng.create 515253 in
-  let ok = ref 0 in
-  for i = 1 to 120 do
-    let p = Gen.program rng Gen.default ~size:(1 + (i mod 30)) in
-    let b = random_binding rng two p.Ast.body in
-    let self_check = i mod 3 = 0 in
-    let ctx = Incremental.create ~self_check b in
-    let reference = Cfm.analyze ~self_check b p.Ast.body in
-    let s = Incremental.certify ctx p.Ast.body in
-    if
-      s.Incremental.cert = reference.Cfm.certified
-      && String.equal s.Incremental.mod_ (two.Lattice.to_string reference.Cfm.mod_)
-    then incr ok
-  done;
-  check_int "incremental agrees with Cfm.analyze on 120 random programs" 120 !ok
-
-let test_incremental_memo_reuse () =
-  let b = Binding.make two ~default:two.Lattice.bottom [] in
-  let ctx = Incremental.create b in
-  let p = Gen.program (Prng.create 99) Gen.default ~size:60 in
-  ignore (Incremental.certify_program ctx p);
-  let first = Incremental.stats ctx in
-  check "first pass computes" true (first.Incremental.computed > 0);
-  ignore (Incremental.certify_program ctx p);
-  let second = Incremental.stats ctx in
-  check_int "second pass computes nothing new" first.Incremental.computed
-    second.Incremental.computed;
-  check "second pass is all memo" true
-    (second.Incremental.reused_memory > first.Incremental.reused_memory)
-
-(* One-line edit: the acceptance assertion. Only the spine — the nodes
-   from the changed leaf to the root — may be recomputed. *)
-let test_incremental_one_line_edit_recomputes_spine_only () =
-  with_dir (fun dir ->
-      let b = Binding.make two ~default:two.Lattice.bottom [] in
-      let big = Gen.program (Prng.create 4242) Gen.default ~size:400 in
-      let edit (p : Ast.program) =
-        let changed = ref false in
-        let rec stmt (s : Ast.stmt) =
-          if !changed then s
-          else
-            match s.Ast.node with
-            | Ast.Assign (v, Ast.Int k) ->
-              changed := true;
-              { s with Ast.node = Ast.Assign (v, Ast.Int (k + 1)) }
-            | Ast.Seq ss -> { s with Ast.node = Ast.Seq (List.map stmt ss) }
-            | Ast.Cobegin ss ->
-              { s with Ast.node = Ast.Cobegin (List.map stmt ss) }
-            | Ast.If (e, x, y) ->
-              let x' = stmt x in
-              { s with Ast.node = Ast.If (e, x', stmt y) }
-            | Ast.While (e, body) ->
-              { s with Ast.node = Ast.While (e, stmt body) }
-            | Ast.Skip | Ast.Assign _ | Ast.Declassify _ | Ast.Store _
-            | Ast.Wait _ | Ast.Signal _ | Ast.Send _ | Ast.Recv _ -> s
-        in
-        let body = stmt p.Ast.body in
-        check "edit found an assignment to change" true !changed;
-        { p with Ast.body }
-      in
-      let st = open_exn dir in
-      let ctx = Incremental.create ~store:st b in
-      let before = Incremental.certify_program ctx big in
-      Incremental.reset_stats ctx;
-      let edited = edit big in
-      let after = Incremental.certify_program ctx edited in
-      let s = Incremental.stats ctx in
-      let nodes = Metrics.length big in
-      check "edited verdict agrees with reference CFM" true
-        (Bool.equal after (Cfm.certified b edited.Ast.body));
-      check "verdict of the original was computed too" true
-        (Bool.equal before (Cfm.certified b big.Ast.body));
-      check "the edit recomputed something" true (s.Incremental.computed > 0);
-      (* The spine is bounded by the tree depth; on a 400-size program
-         that is far below even a tenth of the nodes. *)
-      check
-        (Printf.sprintf "spine only: %d recomputed of %d nodes"
-           s.Incremental.computed nodes)
-        true
-        (s.Incremental.computed * 10 < nodes);
-      check "unchanged subtrees reused, not recomputed" true
-        (s.Incremental.reused_memory > s.Incremental.computed);
-      (* A cold session over the same store sees both versions. *)
-      let st2 = open_exn dir in
-      let ctx2 = Incremental.create ~store:st2 b in
-      ignore (Incremental.certify_program ctx2 edited);
-      let s2 = Incremental.stats ctx2 in
-      check_int "warm restart recomputes nothing" 0 s2.Incremental.computed;
-      check "warm restart reads summaries from disk" true
-        (s2.Incremental.reused_disk > 0))
-
-let test_incremental_survives_corrupt_summary () =
-  with_dir (fun dir ->
-      let b = Binding.make two ~default:two.Lattice.bottom [] in
-      let p = Gen.program (Prng.create 7) Gen.default ~size:40 in
-      let st = open_exn dir in
-      let ctx = Incremental.create ~store:st b in
-      let verdict = Incremental.certify_program ctx p in
-      (* Trash every persisted summary. *)
-      Array.iter
-        (fun name -> overwrite (dir // "summaries" // name) "rotten")
-        (Sys.readdir (dir // "summaries"));
-      let st2 = open_exn dir in
-      let ctx2 = Incremental.create ~store:st2 b in
-      check "corrupt summaries degrade to recompute, same verdict" true
-        (Bool.equal verdict (Incremental.certify_program ctx2 p));
-      let s = Incremental.stats ctx2 in
-      check_int "nothing served from the rotten store" 0
-        s.Incremental.reused_disk;
-      check "rotten summaries quarantined" true
-        ((Store.disk_stats st2).Store.quarantined > 0))
-
-(* The default class of unlisted variables is part of the certification
-   context: with only x listed (high), y := x certifies under default
-   high and not under default low, so a summary stored under one default
-   must not answer under the other. *)
-let test_incremental_default_class_in_context () =
-  with_dir (fun dir ->
-      let body = Ast.assign "y" (Ast.var "x") in
-      let under default = Binding.make two ~default [ ("x", "high") ] in
-      let ctx_low = Incremental.create ~store:(open_exn dir) (under "low") in
-      check "default low rejects" false
-        (Incremental.certify ctx_low body).Incremental.cert;
-      let ctx_high = Incremental.create ~store:(open_exn dir) (under "high") in
-      check "default high certifies, as CFM does" true
-        (Incremental.certify ctx_high body).Incremental.cert;
-      check_int "nothing reused across defaults" 0
-        (Incremental.stats ctx_high).Incremental.reused_disk)
-
 let suite =
   ( "store",
     [
@@ -570,14 +432,4 @@ let suite =
         test_tier_revalidates_certificates;
       Alcotest.test_case "batch warm restart from store" `Quick
         test_batch_warm_restart_from_store;
-      Alcotest.test_case "incremental = cfm on random corpus" `Quick
-        test_incremental_matches_cfm;
-      Alcotest.test_case "incremental memo reuse" `Quick
-        test_incremental_memo_reuse;
-      Alcotest.test_case "one-line edit recomputes spine only" `Quick
-        test_incremental_one_line_edit_recomputes_spine_only;
-      Alcotest.test_case "incremental survives corrupt summaries" `Quick
-        test_incremental_survives_corrupt_summary;
-      Alcotest.test_case "incremental context covers the default class" `Quick
-        test_incremental_default_class_in_context;
     ] )
