@@ -5,4 +5,5 @@ let () =
       Test_arrays.suite; Test_declassify.suite; Test_corpus.suite;
       Test_properties.suite; Test_analysis.suite; Test_cert.suite;
       Test_pipeline.suite; Test_store.suite; Test_modsys.suite;
-      Test_dataflow.suite; Test_fuzz.suite; Test_server.suite; Test_figure2.suite ]
+      Test_dataflow.suite; Test_fuzz.suite; Test_server.suite; Test_figure2.suite;
+      Test_frontend.suite ]
