@@ -2312,8 +2312,9 @@ let run_store_gc dir keep =
     let* () = if keep < 0 then Error "--keep must be non-negative" else Ok () in
     let* s = Store.open_ ~bump:false dir in
     let r = Store.gc ~keep s in
-    Fmt.pr "live: %d, swept: %d, staging swept: %d, bytes freed: %d@."
-      r.Store.live r.Store.swept r.Store.tmp_swept r.Store.bytes_freed;
+    Fmt.pr "live: %d, swept: %d, quarantined: %d, staging swept: %d, bytes freed: %d@."
+      r.Store.live r.Store.swept r.Store.quarantined r.Store.tmp_swept
+      r.Store.bytes_freed;
     Ok ()
   in
   exit_of_result result

@@ -232,17 +232,16 @@ let init_issues (p : Ast.program) =
       | Ast.Sem_decl _ | Ast.Var_decl _ | Ast.Arr_decl _ | Ast.Chan_decl _ -> None)
     p.decls
 
-let check (p : Ast.program) =
+(* Duplicate, init and usage issues are all errors; the atomicity
+   issues are all warnings, so [errors] need not compute them. *)
+let errors (p : Ast.program) =
   let vars, arrays, sems, chans = Vars.declared p in
-  let issues =
-    duplicate_issues p @ init_issues p
-    @ usage_issues ~vars ~arrays ~sems ~chans p.body
-    @ atomicity_issues p.body
-  in
+  duplicate_issues p @ init_issues p @ usage_issues ~vars ~arrays ~sems ~chans p.body
+
+let check (p : Ast.program) =
+  let issues = errors p @ atomicity_issues p.body in
   let severity_rank i = match i.severity with Error -> 0 | Warning -> 1 in
   List.stable_sort (fun a b -> compare (severity_rank a) (severity_rank b)) issues
-
-let errors p = List.filter (fun i -> i.severity = Error) (check p)
 
 let is_valid p = errors p = []
 

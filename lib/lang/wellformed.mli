@@ -22,7 +22,8 @@ val atomicity_issues : Ast.stmt -> issue list
     atomicity warning it makes exploitable. *)
 
 val errors : Ast.program -> issue list
-(** [errors p] is [check p] restricted to severity [Error]. *)
+(** [errors p] is [check p] restricted to severity [Error], in the same
+    order. It skips the atomicity check, which yields only warnings. *)
 
 val is_valid : Ast.program -> bool
 (** [is_valid p] iff [errors p = []]. *)

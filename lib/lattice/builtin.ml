@@ -10,6 +10,14 @@ let table =
     ("mls", Lattice.stringify Mls.standard);
   ]
 
+(* Each scheme's specification text, rendered once. *)
+let texts = List.map (fun (_, l) -> (l, Spec.to_text l)) table
+
+let to_text l =
+  match List.find_opt (fun (b, _) -> b == l) texts with
+  | Some (_, text) -> text
+  | None -> Spec.to_text l
+
 let find name = List.assoc_opt name table
 
 let named name =

@@ -13,6 +13,11 @@ val find : string -> string Lattice.t option
 (** [find name] is the scheme called [name]: ["two"], ["three"],
     ["four"] ({!Chain.four}) or ["mls"] ({!Mls.standard}). *)
 
+val to_text : string Lattice.t -> string
+(** [to_text l] is [Spec.to_text l]. For a scheme that is physically one
+    of the built-ins it is the text rendered when this module
+    initialised; any other lattice is rendered on each call. *)
+
 val named : string -> string Lattice.t option
 (** [named n] is the built-in scheme whose {!Lattice.name} is [n]
     (["two-point"], ["mls-standard"], ...), the name a certificate's

@@ -309,6 +309,33 @@ let test_gc_sweeps_cold_generations () =
       check "hot entry kept" true
         (Store.find st3 ~digest:(String.make 32 '1') <> None))
 
+(* gc cannot age out a file it cannot parse, so it moves it aside: a
+   whole version-1 summary (a retired format, under a key no lookup may
+   ever ask for again) and a junk object both leave on the first pass. *)
+let test_gc_quarantines_unparseable () =
+  with_dir (fun dir ->
+      let st = open_exn dir in
+      let summary = String.make 32 'b' and junk = String.make 32 'c' in
+      let v1 =
+        Printf.sprintf "ifc-store-summary 1\ndigest %s\ngeneration 1\nmod 0\n\nflow -\ncert true\n"
+          summary
+      in
+      overwrite
+        (dir // "summaries" // summary)
+        (v1 ^ "checksum " ^ Digest.to_hex (Digest.string v1) ^ "\n");
+      overwrite (dir // "objects" // junk) "not an entry\n";
+      let first = Store.gc ~keep:0 st in
+      check_int "both quarantined" 2 first.Store.quarantined;
+      check_int "neither counted live" 0 first.Store.live;
+      check "summary left summaries/" false (Sys.file_exists (dir // "summaries" // summary));
+      check "junk left objects/" false (Sys.file_exists (dir // "objects" // junk));
+      check "both kept in quarantine/" true
+        (List.sort compare (Array.to_list (Sys.readdir (dir // "quarantine")))
+         = List.sort compare [ summary; junk ]);
+      let second = Store.gc ~keep:0 st in
+      check_int "nothing left to quarantine" 0 second.Store.quarantined;
+      check_int "nothing live" 0 second.Store.live)
+
 let test_manifest_recovery () =
   with_dir (fun dir ->
       let st1 = open_exn dir in
@@ -427,6 +454,8 @@ let suite =
         test_record_heat_resurrects_hot_set;
       Alcotest.test_case "gc sweeps cold generations" `Quick
         test_gc_sweeps_cold_generations;
+      Alcotest.test_case "gc quarantines what it cannot parse" `Quick
+        test_gc_quarantines_unparseable;
       Alcotest.test_case "manifest recovery" `Quick test_manifest_recovery;
       Alcotest.test_case "tier re-validates certificates" `Quick
         test_tier_revalidates_certificates;
