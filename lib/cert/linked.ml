@@ -50,8 +50,8 @@ let version = 2
 
 (* Digests are structural: summary lookups digest the module on every
    certification, so the canonical form fed to MD5 is a direct byte
-   fold over the tree rather than Format-based pretty-printing (whose
-   constant would dominate the store-backed link path). Strings are
+   fold over the tree, with no layout to compute, and the [ifc-cert 2]
+   format fixes its bytes. Strings are
    length-prefixed and lists length-tagged, so distinct trees cannot
    collide by concatenation; source spans are ignored, so two parses
    of the same module share a digest. *)
