@@ -254,6 +254,20 @@ let test_mls_text_pinned () =
   check_string "md5 of Spec.to_text mls" "7404a3903bf88b4e5fab560f800e1964"
     (Digest.to_hex (Digest.string (Spec.to_text mls_names)))
 
+(* Job digests take a built-in scheme's text from [Builtin.to_text],
+   rendered once; it must be [Spec.to_text]'s, and any other lattice,
+   even an equal one built anew, is rendered on the spot. *)
+let test_builtin_text () =
+  List.iter
+    (fun name ->
+      let l = Option.get (Ifc_lattice.Builtin.find name) in
+      check_string name (Spec.to_text l) (Ifc_lattice.Builtin.to_text l);
+      check (name ^ " rendered once") true
+        (Ifc_lattice.Builtin.to_text l == Ifc_lattice.Builtin.to_text l))
+    [ "two"; "three"; "four"; "mls" ];
+  let fresh = Lattice.stringify Mls.standard in
+  check_string "fresh mls" (Spec.to_text fresh) (Ifc_lattice.Builtin.to_text fresh)
+
 let test_builtin_table () =
   List.iter
     (fun name ->
@@ -573,6 +587,7 @@ let suite =
         test_stringify_noncanonical_operands;
       Alcotest.test_case "covers matches its definition" `Quick test_covers_reference;
       Alcotest.test_case "mls spec text pinned" `Quick test_mls_text_pinned;
+      Alcotest.test_case "built-in spec texts" `Quick test_builtin_text;
       Alcotest.test_case "builtin table" `Quick test_builtin_table;
     ]
     @ stringify_agreement @ law_cases @ qcheck_lattice_props )
