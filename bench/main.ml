@@ -27,8 +27,8 @@
                findings/s over a cobegin-heavy corpus
      CERT      proof certificates: emission and independent re-check
                throughput, certificate bytes per program statement
-     SERVER    the certification daemon: concurrent clients over a Unix
-               socket, shared-cache hit rate and latency quantiles
+     LOAD      the certification daemon: pipelined clients against an
+               ifc serve subprocess, throughput and latency quantiles
      CLASSES   security classes as printed names: ns and words per
                leq/join/meet, lattice rendering, CFM over string classes
      FRONTEND  what every request pays before the cache: µs and words
@@ -38,7 +38,7 @@
 
    Usage: dune exec bench/main.exe [-- SECTION ...]
    Sections: tables fig3 theorems strength scaling ni pipeline store
-   modsys fuzz lint cert server classes frontend micro all
+   modsys fuzz lint cert load classes frontend micro all
    (default all). Add "quick" to shrink corpus and sweep sizes.
 
    Besides the human tables, every section prints one or more
@@ -605,7 +605,7 @@ let fuzz_bench ~cases () =
   let planted =
     Campaign.run
       { Campaign.default with cases = 0; seed = 7; jobs = 1;
-        plant_inversion = true }
+        plants = [ Ifc_support.Plant.Inversion ] }
   in
   (match planted.Campaign.counterexamples with
   | c :: _ ->
@@ -962,118 +962,6 @@ let cert_bench ~corpus () =
       Fmt.pr "Spec.parse on %s: %.1f us@." name us;
       metric_f "cert" ("spec_parse_" ^ name ^ "_us") us)
     [ ("two", stwo); ("mls", Lattice.stringify Mls.standard) ]
-
-(* ------------------------------------------------------------------ *)
-(* SERVER: the certification daemon — N concurrent clients hammering
-   one in-process server over a Unix socket, sharing its cache. *)
-
-let server_bench ~clients ~requests () =
-  banner
-    (Printf.sprintf
-       "SERVER: %d concurrent clients x %d requests against one daemon"
-       clients requests);
-  let module Conn = Ifc_server.Conn in
-  let module Server = Ifc_server.Server in
-  let module Client = Ifc_server.Client in
-  let module Protocol = Ifc_server.Protocol in
-  let module Jsonx = Ifc_server.Jsonx in
-  let module J = Ifc_pipeline.Telemetry in
-  let lat = Lattice.stringify two in
-  (* ~16 programs that survive the wire path (pretty-print, re-parse,
-     wellformedness), shipped as source + binding text. *)
-  let corpus =
-    let rng = Prng.create 314159 in
-    let rec collect i acc remaining =
-      if remaining = 0 then List.rev acc
-      else
-        let p = Gen.program rng Gen.default ~size:(4 + (i mod 24)) in
-        let source = Fmt.str "%a" Ifc_lang.Pretty.pp_program p in
-        match Parser.parse_program source with
-        | Ok q when Ifc_lang.Wellformed.errors q = [] ->
-          let binding =
-            Sset.elements (Ifc_lang.Vars.all_vars p.Ast.body)
-            |> List.map (fun v ->
-                   let levels = Array.of_list lat.Lattice.elements in
-                   Printf.sprintf "%s : %s" v
-                     levels.(Prng.int rng (Array.length levels)))
-            |> String.concat "\n"
-          in
-          collect (i + 1) ((source, binding) :: acc) (remaining - 1)
-        | _ -> collect (i + 1) acc remaining
-    in
-    Array.of_list (collect 0 [] 16)
-  in
-  let sock = Filename.temp_file "ifcbench" ".sock" in
-  let config =
-    {
-      Server.default_config with
-      Server.endpoints = [ Conn.Unix_socket sock ];
-      workers = max 2 (Domain.recommended_domain_count ());
-    }
-  in
-  match Server.create config with
-  | Error msg -> Fmt.epr "server bench skipped: %s@." msg
-  | Ok server ->
-    let run_thread = Thread.create Server.run server in
-    let failures = Atomic.make 0 in
-    let one_client id =
-      match
-        Client.with_client ~retry_for:5. (Conn.Unix_socket sock) (fun c ->
-            for r = 0 to requests - 1 do
-              let source, binding =
-                corpus.((id + r) mod Array.length corpus)
-              in
-              match Client.check c ~binding source with
-              | Ok response when Protocol.response_ok response -> ()
-              | Ok _ | Error _ -> Atomic.incr failures
-            done;
-            Ok ())
-      with
-      | Ok () -> ()
-      | Error _ -> Atomic.incr failures
-    in
-    let timer = J.start () in
-    let threads =
-      List.init clients (fun id -> Thread.create one_client id)
-    in
-    List.iter Thread.join threads;
-    let wall_s = Int64.to_float (J.elapsed_ns timer) /. 1e9 in
-    let total = clients * requests in
-    let rps = float_of_int total /. wall_s in
-    let stat path stats =
-      let rec walk json = function
-        | [] -> Option.value ~default:0 (Jsonx.int_opt json)
-        | key :: rest -> (
-          match Jsonx.member key json with Some v -> walk v rest | None -> 0)
-      in
-      walk stats ("stats" :: path)
-    in
-    (match
-       Client.with_client ~retry_for:5. (Conn.Unix_socket sock) Client.stats
-     with
-    | Ok stats ->
-      let hits = stat [ "cache"; "hits" ] stats
-      and misses = stat [ "cache"; "misses" ] stats in
-      let hit_pct =
-        if hits + misses = 0 then 0.
-        else 100. *. float_of_int hits /. float_of_int (hits + misses)
-      in
-      let p99_ms = float_of_int (stat [ "latency"; "p99_ns" ] stats) /. 1e6 in
-      Fmt.pr
-        "%d requests in %.2f s: %.0f req/s; cache %d hits / %d misses \
-         (%.1f%%); p50 %.2f ms, p99 %.2f ms; %d failures@."
-        total wall_s rps hits misses hit_pct
-        (float_of_int (stat [ "latency"; "p50_ns" ] stats) /. 1e6)
-        p99_ms (Atomic.get failures);
-      metric_f "server" "throughput_rps" rps;
-      metric_f "server" "warm_hit_rate_pct" hit_pct;
-      metric_f "server" "p99_ms" p99_ms
-    | Error msg -> Fmt.epr "stats query failed: %s@." msg);
-    metric_i "server" "requests" total;
-    metric_i "server" "failures" (Atomic.get failures);
-    Server.request_stop server;
-    Thread.join run_thread;
-    (try Sys.remove sock with Sys_error _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* LOAD: sustained pipelined load at high connection counts. The server
@@ -1591,7 +1479,7 @@ let () =
     | [] | [ "all" ] ->
       [ "tables"; "fig3"; "theorems"; "strength"; "ablation"; "por"; "scaling";
         "ni"; "pipeline"; "store"; "modsys"; "fuzz"; "lint"; "dataflow";
-        "chan"; "cert"; "server"; "load"; "classes"; "frontend"; "micro" ]
+        "chan"; "cert"; "load"; "classes"; "frontend"; "micro" ]
     | s -> s
   in
   let corpus = if quick then 100 else 400 in
@@ -1616,11 +1504,6 @@ let () =
     | "dataflow" -> dataflow_bench ~corpus:(if quick then 200 else 800) ()
     | "chan" -> chan_bench ~corpus:(if quick then 150 else 500) ()
     | "cert" -> cert_bench ~corpus:(if quick then 60 else 200) ()
-    | "server" ->
-      server_bench
-        ~clients:(if quick then 4 else 8)
-        ~requests:(if quick then 25 else 100)
-        ()
     | "load" ->
       load_bench
         ~scenarios:

@@ -38,6 +38,7 @@ module Tier = Ifc_pipeline.Tier
 module Telemetry = Ifc_pipeline.Telemetry
 module Store = Ifc_store.Store
 module Campaign = Ifc_fuzz.Campaign
+module Plant = Ifc_support.Plant
 module Analyze = Ifc_analysis.Analyze
 module Cert = Ifc_cert.Cert
 module Certcheck = Ifc_cert.Checker
@@ -1299,40 +1300,6 @@ let batch_cmd =
 
 let run_fuzz cases refine_cases seed jobs size_min size_max ni_pairs max_states
     time_budget shrink_budget corpus_dir fuzz_store_dir log_file quiet =
-  let config =
-    {
-      Campaign.cases;
-      refine_cases;
-      seed;
-      jobs;
-      size_min;
-      size_max;
-      ni_pairs;
-      max_states;
-      time_budget;
-      shrink_budget;
-      corpus_dir;
-      store_dir = fuzz_store_dir;
-      (* Hidden test hooks: inject one case with a forced bogus CFM
-         verdict, a forced bogus certificate round-trip verdict, forced
-         all-safe concurrency-analysis claims, or a pre-planted stale
-         store entry, so the end-to-end inversion paths (detect, shrink,
-         persist, exit 2) stay exercised. *)
-      plant_inversion = Sys.getenv_opt "IFC_FUZZ_PLANT_INVERSION" <> None;
-      plant_cert_inversion =
-        Sys.getenv_opt "IFC_FUZZ_PLANT_CERT_INVERSION" <> None;
-      plant_lint_unsound =
-        Sys.getenv_opt "IFC_FUZZ_PLANT_LINT_UNSOUND" <> None;
-      plant_chan_unsound =
-        Sys.getenv_opt "IFC_FUZZ_PLANT_CHAN_UNSOUND" <> None;
-      plant_store_stale =
-        Sys.getenv_opt "IFC_FUZZ_PLANT_STORE_STALE" <> None;
-      plant_dataflow_unsound =
-        Sys.getenv_opt "IFC_FUZZ_PLANT_DATAFLOW_UNSOUND" <> None;
-      plant_refine_unsound =
-        Sys.getenv_opt "IFC_FUZZ_PLANT_REFINE_UNSOUND" <> None;
-    }
-  in
   let result =
     let* () = if jobs < 1 then Error "--jobs must be at least 1" else Ok () in
     let* () =
@@ -1346,6 +1313,27 @@ let run_fuzz cases refine_cases seed jobs size_min size_max ni_pairs max_states
       if size_min < 1 || size_max < size_min then
         Error "--size-min/--size-max must satisfy 1 <= min <= max"
       else Ok ()
+    in
+    (* Hidden test hooks: IFC_PLANT appends planted cases whose verdicts
+       are forced wrong, so the inversion paths (detect, shrink, persist,
+       exit 2) stay exercised. *)
+    let* plants = Plant.of_env () in
+    let config =
+      {
+        Campaign.cases;
+        refine_cases;
+        seed;
+        jobs;
+        size_min;
+        size_max;
+        ni_pairs;
+        max_states;
+        time_budget;
+        shrink_budget;
+        corpus_dir;
+        store_dir = fuzz_store_dir;
+        plants;
+      }
     in
     let run_with sink = Campaign.run ?sink config in
     match log_file with
@@ -1586,9 +1574,8 @@ let serve_cmd =
       value
       & opt int (max 1 (Domain.recommended_domain_count ()))
       & info [ "shards" ] ~docv:"N"
-          ~doc:"Connection-shard event loops (defaults to the recommended \
-                domain count). 0 selects the legacy thread-per-connection \
-                engine.")
+          ~doc:"Connection-shard event loops, at least 1 (defaults to the \
+                recommended domain count).")
   in
   let cache_size =
     Arg.(
@@ -1996,8 +1983,8 @@ let run_loadgen socket tcp wait json_out clients window requests distinct
             if i < 5 then begin
               Fmt.epr "divergence id %d:@." d.Oracle.id;
               Fmt.epr "  request: %s@." d.Oracle.request;
-              Fmt.epr "  legacy:  %s@." d.Oracle.legacy;
-              Fmt.epr "  sharded: %s@." d.Oracle.sharded
+              Fmt.epr "  reference: %s@." d.Oracle.reference;
+              Fmt.epr "  sharded:   %s@." d.Oracle.sharded
             end)
           ds;
         Ok 2
@@ -2127,17 +2114,19 @@ let loadgen_cmd =
       & info [ "name" ] ~docv:"NAME"
           ~doc:
             "Request name attached to every job (a $(b,stall)-prefixed name \
-             trips the server's IFC_SERVE_PLANT_STALL hook).")
+             trips a server started with the IFC_PLANT=stall:MS plant).")
   in
   let oracle =
     Arg.(
       value & flag
       & info [ "oracle" ]
           ~doc:
-            "Run the differential server oracle instead of a load: replay \
-             one seeded stream against the legacy and sharded engines \
-             (booted in-process; no --socket/--tcp needed) and demand \
-             identical responses. Exit code 2 on divergence.")
+            "Run the differential server oracle instead of a load: answer \
+             one seeded stream through sequential in-process calls, replay \
+             it pipelined over sockets against a server with $(b,--shards) \
+             connection shards (both booted in-process; no --socket/--tcp \
+             needed), and demand identical responses. Exit code 2 on \
+             divergence.")
   in
   let seed =
     Arg.(
@@ -2154,15 +2143,15 @@ let loadgen_cmd =
     Arg.(
       value & opt int 2
       & info [ "shards" ] ~docv:"N"
-          ~doc:"Shard count for the oracle's sharded server.")
+          ~doc:"Connection shards of the oracle's server.")
   in
   Cmd.v
     (Cmd.info "loadgen"
        ~doc:
          "Drive a running certification daemon with concurrent pipelined \
           clients and report throughput and latency percentiles — or, with \
-          $(b,--oracle), differentially test the two connection engines \
-          against each other. Exit code 2 on protocol errors, zero \
+          $(b,--oracle), differentially test the server engine against \
+          sequential in-process calls. Exit code 2 on protocol errors, zero \
           successful responses, or oracle divergence.")
     Term.(
       const run_loadgen $ socket_arg $ tcp_arg $ wait $ json_out $ clients

@@ -10,6 +10,7 @@ module Binding = Ifc_core.Binding
 module Lattice = Ifc_lattice.Lattice
 module Sset = Ifc_support.Sset
 module Prng = Ifc_support.Prng
+module Plant = Ifc_support.Plant
 module Pool = Ifc_pipeline.Pool
 module Telemetry = Ifc_pipeline.Telemetry
 module Job = Ifc_pipeline.Job
@@ -27,13 +28,7 @@ type config = {
   shrink_budget : int;
   corpus_dir : string option;
   store_dir : string option;
-  plant_inversion : bool;
-  plant_cert_inversion : bool;
-  plant_lint_unsound : bool;
-  plant_chan_unsound : bool;
-  plant_store_stale : bool;
-  plant_dataflow_unsound : bool;
-  plant_refine_unsound : bool;
+  plants : Plant.t list;
   refine_cases : int;
 }
 
@@ -50,13 +45,7 @@ let default =
     shrink_budget = 300;
     corpus_dir = None;
     store_dir = None;
-    plant_inversion = false;
-    plant_cert_inversion = false;
-    plant_lint_unsound = false;
-    plant_chan_unsound = false;
-    plant_store_stale = false;
-    plant_dataflow_unsound = false;
-    plant_refine_unsound = false;
+    plants = [];
     refine_cases = 0;
   }
 
@@ -113,22 +102,32 @@ type summary = {
    so cases are order- and worker-independent. *)
 let case_rng seed index = Prng.create ((seed * 0x1000003) lxor index)
 
+(* Verdicts a planted case forces on the oracle; [None] leaves that leg
+   honest. *)
+type forced = {
+  cfm : bool option;
+  cert : bool option;
+  lint : bool option;
+  dataflow : [ `Prune | `Witness ] option;
+}
+
+let honest = { cfm = None; cert = None; lint = None; dataflow = None }
+
+let run_oracle config forced ?stored_cfm ~ni_seed binding program =
+  Oracle.run ?override_cfm:forced.cfm ?override_cert:forced.cert
+    ?override_lint:forced.lint ?override_dataflow:forced.dataflow ?stored_cfm
+    ~ni_seed ~ni_pairs:config.ni_pairs ~max_states:config.max_states binding
+    program
+
 (* Retained only for inversions: exactly what re-running the predicate
    during shrinking needs. For program cases that is the program, its
-   binding, the forced CFM, cert and lint verdicts (planted cases), the
-   store lookup for replaying candidates against the persistent store,
-   and the case's oracle seed. For refinement cases it is the module
-   pair, the forced claim (the planted case) and the oracle seed. *)
+   binding, the forced verdicts (planted cases), the store lookup for
+   replaying candidates against the persistent store, and the case's
+   oracle seed. For refinement cases it is the module pair, the forced
+   claim (the planted case) and the oracle seed. *)
 type payload =
   | P_program of
-      (Ast.program
-      * string Binding.t
-      * bool option
-      * bool option
-      * bool option
-      * [ `Prune | `Witness ] option
-      * (Ast.program -> bool option)
-      * int)
+      Ast.program * string Binding.t * forced * (Ast.program -> bool option) * int
   | P_refine of Modfuzz.case * bool option * int
 
 type outcome = {
@@ -165,18 +164,16 @@ let generate_case rng profile_name cfg_gen ~size =
   ignore profile_name;
   gen rng cfg_gen ~size
 
-(* The planted soundness inversion (test hook): a padded program whose
-   middle statement leaks [x] (high) into [y] (low) directly, with the
-   CFM verdict forced to "certified". Every honest analyzer and the
-   oracle see the leak, so the case classifies as every inversion kind at
-   once and shrinks to the single statement [y := x]. *)
-let planted_case () =
+(* Every planted program case is one middle statement padded by the
+   same four, which the shrinker must strip: [p := 3; skip; MIDDLE;
+   q := p + 1; skip], with the variables in [high] bound high. *)
+let padded ?(high = []) middle =
   let body =
     Ast.seq
       [
         Ast.assign "p" (Ast.Int 3);
         Ast.skip;
-        Ast.assign "y" (Ast.Var "x");
+        middle;
         Ast.assign "q" (Ast.Binop (Ast.Add, Ast.Var "p", Ast.Int 1));
         Ast.skip;
       ]
@@ -184,77 +181,63 @@ let planted_case () =
   let program = Wellformed.infer_decls (Ast.program body) in
   let binding =
     Binding.make lattice ~default:lattice.Lattice.bottom
-      [ ("x", lattice.Lattice.top) ]
+      (List.map (fun v -> (v, lattice.Lattice.top)) high)
   in
   (program, binding)
 
-(* The planted certificate inversion (test hook): a padded, provable
-   all-low program whose certificate round-trip verdict is forced to
-   "rejected". Every honest analyzer agrees the program is fine, so the
-   only inversion is cert-inversion, and it shrinks to a single
-   statement. *)
-(* The planted lint-unsoundness (test hook): a padded program whose
-   middle statement waits on a semaphore nobody ever signals — a
-   guaranteed deadlock — with the concurrency analyzer's claims forced to
-   all-safe. The dynamic evidence explorations reach the stuck state, so
-   the case classifies as deadlock-unsound and shrinks to the single
-   [wait(s)]. *)
-let planted_lint_case () =
-  let body =
-    Ast.seq
-      [
-        Ast.assign "p" (Ast.Int 3);
-        Ast.skip;
-        Ast.wait "s";
-        Ast.assign "q" (Ast.Binop (Ast.Add, Ast.Var "p", Ast.Int 1));
-        Ast.skip;
-      ]
-  in
-  let program = Wellformed.infer_decls (Ast.program body) in
-  let binding = Binding.make lattice ~default:lattice.Lattice.bottom [] in
-  (program, binding)
+(* A planted case: a program row (profile label, program, binding,
+   forced verdicts), or the planted module pair ({!Modfuzz.planted})
+   with its refinement claim forced to accepted. *)
+type row =
+  | Program_row of string * Ast.program * string Binding.t * forced
+  | Refine_row
 
-(* The planted channel-unsoundness (test hook): a padded program whose
-   middle statement receives from a channel nobody ever sends on — a
-   guaranteed communication deadlock — with the analyzer's claims forced
-   to all-safe. The dynamic evidence explorations reach the stuck state
-   with the channel blocked, so the case classifies as
-   chan-deadlock-unsound and shrinks to the single [recv(c, y)]. *)
-let planted_chan_case () =
-  let body =
-    Ast.seq
-      [
-        Ast.assign "p" (Ast.Int 3);
-        Ast.skip;
-        Ast.recv "c" "y";
-        Ast.assign "q" (Ast.Binop (Ast.Add, Ast.Var "p", Ast.Int 1));
-        Ast.skip;
-      ]
-  in
-  let program = Wellformed.infer_decls (Ast.program body) in
-  let binding = Binding.make lattice ~default:lattice.Lattice.bottom [] in
-  (program, binding)
+let planted ?high label middle forced =
+  let program, binding = padded ?high middle in
+  Program_row (label, program, binding, forced)
 
-(* The planted store-staleness (test hook): a padded all-low program
-   whose store entry is pre-written with the {e opposite} CFM verdict
-   before the campaign runs. Replay finds the stale verdict, the honest
-   analyzers disagree with it, and the case classifies as [store-stale].
-   Shrink candidates miss in the store, so the counterexample stays at
-   the planted program — exactly the stored artifact that diverged. *)
-let planted_store_case () =
-  let body =
-    Ast.seq
-      [
-        Ast.assign "p" (Ast.Int 3);
-        Ast.skip;
-        Ast.assign "y" (Ast.Int 1);
-        Ast.assign "q" (Ast.Binop (Ast.Add, Ast.Var "p", Ast.Int 1));
-        Ast.skip;
-      ]
-  in
-  let program = Wellformed.infer_decls (Ast.program body) in
-  let binding = Binding.make lattice ~default:lattice.Lattice.bottom [] in
-  (program, binding)
+let leak = Ast.assign "y" (Ast.Var "x")
+
+(* The store-stale plant's middle statement: all-low, so the store entry
+   written with the flipped verdict is the only thing that is wrong. *)
+let store_stale_middle = Ast.assign "y" (Ast.Int 1)
+
+(* The planted cases of one plant. Each classifies as its inversion and
+   shrinks to the single middle statement, except store-stale (shrink
+   candidates miss in the store, so it stays at the planted program) and
+   refine-unsound (a module pair):
+   - inversion: [y := x] leaks, with CFM forced to certified;
+   - cert-inversion: an all-low program whose certificate round-trip is
+     forced to fail;
+   - lint-unsound: [wait(s)] on a semaphore nobody signals, with the
+     concurrency analyzer forced to all-safe;
+   - chan-unsound: [recv(c, y)] on a channel nobody sends on, forced the
+     same way;
+   - dataflow-unsound: a bogus pruned arm at a statement every execution
+     steps (prune-unsound), and an honestly rejected leak whose flow
+     witness has its sink span corrupted (witness-bogus). *)
+let rows_of_plant = function
+  | Plant.Inversion ->
+    [ planted ~high:[ "x" ] "planted" leak { honest with cfm = Some true } ]
+  | Plant.Cert_inversion ->
+    [
+      planted "planted-cert" (Ast.assign "y" (Ast.Int 0))
+        { honest with cert = Some false };
+    ]
+  | Plant.Lint_unsound ->
+    [ planted "planted-lint" (Ast.wait "s") { honest with lint = Some true } ]
+  | Plant.Chan_unsound ->
+    [ planted "planted-chan" (Ast.recv "c" "y") { honest with lint = Some true } ]
+  | Plant.Store_stale -> [ planted "planted-store" store_stale_middle honest ]
+  | Plant.Dataflow_unsound ->
+    [
+      planted "planted-prune" (Ast.assign "y" (Ast.Int 1))
+        { honest with dataflow = Some `Prune };
+      planted ~high:[ "x" ] "planted-witness" leak
+        { honest with dataflow = Some `Witness };
+    ]
+  | Plant.Refine_unsound -> [ Refine_row ]
+  | Plant.Stall _ -> []
 
 (* The store replay key: the same content address the pipeline would use
    for a CFM-only job over this (program, binding) on the campaign
@@ -275,65 +258,6 @@ let stored_cfm_entry verdict =
       artifact = None;
     };
   ]
-
-let planted_cert_case () =
-  let body =
-    Ast.seq
-      [
-        Ast.assign "p" (Ast.Int 3);
-        Ast.skip;
-        Ast.assign "y" (Ast.Int 0);
-        Ast.assign "q" (Ast.Binop (Ast.Add, Ast.Var "p", Ast.Int 1));
-        Ast.skip;
-      ]
-  in
-  let program = Wellformed.infer_decls (Ast.program body) in
-  let binding = Binding.make lattice ~default:lattice.Lattice.bottom [] in
-  (program, binding)
-
-(* The planted prune-unsoundness (test hook): a padded all-low
-   straight-line program with the oracle's dataflow leg forced to report
-   a pruned arm at the span of a statement every execution steps. The
-   exploration's visit witness refutes the fake claim, so the case
-   classifies as prune-unsound and shrinks to a single statement. *)
-let planted_prune_case () =
-  let body =
-    Ast.seq
-      [
-        Ast.assign "p" (Ast.Int 3);
-        Ast.skip;
-        Ast.assign "y" (Ast.Int 1);
-        Ast.assign "q" (Ast.Binop (Ast.Add, Ast.Var "p", Ast.Int 1));
-        Ast.skip;
-      ]
-  in
-  let program = Wellformed.infer_decls (Ast.program body) in
-  let binding = Binding.make lattice ~default:lattice.Lattice.bottom [] in
-  (program, binding)
-
-(* The planted witness corruption (test hook): a padded program whose
-   middle statement leaks [x] (high) into [y] (low), so certification
-   honestly rejects and a flow witness is emitted — with the oracle's
-   dataflow leg forced to corrupt the witness's sink span before replay.
-   The replay finds no failed check at the shifted span, so the case
-   classifies as witness-bogus and shrinks to the single [y := x]. *)
-let planted_witness_case () =
-  let body =
-    Ast.seq
-      [
-        Ast.assign "p" (Ast.Int 3);
-        Ast.skip;
-        Ast.assign "y" (Ast.Var "x");
-        Ast.assign "q" (Ast.Binop (Ast.Add, Ast.Var "p", Ast.Int 1));
-        Ast.skip;
-      ]
-  in
-  let program = Wellformed.infer_decls (Ast.program body) in
-  let binding =
-    Binding.make lattice ~default:lattice.Lattice.bottom
-      [ ("x", lattice.Lattice.top) ]
-  in
-  (program, binding)
 
 (* One refinement case: generate (or plant) a module pair, take the
    compositional toolchain's claim, refute claimed-safe swaps with the
@@ -368,102 +292,10 @@ let run_refine_case config ~planted rng index =
        else Some (P_refine (case, override_claim, ni_seed)));
   }
 
-let run_case ?store config index =
-  let planted_cfm = config.plant_inversion && index = config.cases in
-  let planted_cert =
-    config.plant_cert_inversion
-    && index = config.cases + if config.plant_inversion then 1 else 0
-  in
-  let planted_lint =
-    config.plant_lint_unsound
-    && index
-       = config.cases
-         + (if config.plant_inversion then 1 else 0)
-         + if config.plant_cert_inversion then 1 else 0
-  in
-  let planted_chan =
-    config.plant_chan_unsound
-    && index
-       = config.cases
-         + (if config.plant_inversion then 1 else 0)
-         + (if config.plant_cert_inversion then 1 else 0)
-         + if config.plant_lint_unsound then 1 else 0
-  in
-  let planted_store =
-    config.plant_store_stale
-    && index
-       = config.cases
-         + (if config.plant_inversion then 1 else 0)
-         + (if config.plant_cert_inversion then 1 else 0)
-         + (if config.plant_lint_unsound then 1 else 0)
-         + if config.plant_chan_unsound then 1 else 0
-  in
-  let dataflow_base =
-    config.cases
-    + (if config.plant_inversion then 1 else 0)
-    + (if config.plant_cert_inversion then 1 else 0)
-    + (if config.plant_lint_unsound then 1 else 0)
-    + (if config.plant_chan_unsound then 1 else 0)
-    + if config.plant_store_stale then 1 else 0
-  in
-  (* The dataflow plant occupies two indices: one forced bogus prune,
-     one forced witness corruption. *)
-  let planted_prune = config.plant_dataflow_unsound && index = dataflow_base in
-  let planted_witness =
-    config.plant_dataflow_unsound && index = dataflow_base + 1
-  in
-  let planted_refine =
-    config.plant_refine_unsound
-    && index = dataflow_base + if config.plant_dataflow_unsound then 2 else 0
-  in
-  (* Honest refinement cases occupy the tail of the index space, after
-     every planted case. *)
-  let refine_base =
-    dataflow_base
-    + (if config.plant_dataflow_unsound then 2 else 0)
-    + if config.plant_refine_unsound then 1 else 0
-  in
-  let rng = case_rng config.seed index in
-  if planted_refine || index >= refine_base then
-    run_refine_case config ~planted:planted_refine rng index
-  else
-  let ( profile_name,
-        program,
-        binding,
-        override_cfm,
-        override_cert,
-        override_lint,
-        override_dataflow ) =
-    if planted_cfm then
-      let program, binding = planted_case () in
-      ("planted", program, binding, Some true, None, None, None)
-    else if planted_cert then
-      let program, binding = planted_cert_case () in
-      ("planted-cert", program, binding, None, Some false, None, None)
-    else if planted_lint then
-      let program, binding = planted_lint_case () in
-      ("planted-lint", program, binding, None, None, Some true, None)
-    else if planted_chan then
-      let program, binding = planted_chan_case () in
-      ("planted-chan", program, binding, None, None, Some true, None)
-    else if planted_store then
-      let program, binding = planted_store_case () in
-      ("planted-store", program, binding, None, None, None, None)
-    else if planted_prune then
-      let program, binding = planted_prune_case () in
-      ("planted-prune", program, binding, None, None, None, Some `Prune)
-    else if planted_witness then
-      let program, binding = planted_witness_case () in
-      ("planted-witness", program, binding, None, None, None, Some `Witness)
-    else begin
-      let profile_name, cfg_gen =
-        List.nth profiles (index mod List.length profiles)
-      in
-      let size = Prng.range rng config.size_min config.size_max in
-      let program = generate_case rng profile_name cfg_gen ~size in
-      (profile_name, program, random_binding rng program, None, None, None, None)
-    end
-  in
+(* One program case, random or planted: run the oracle matrix under the
+   row's forced verdicts and classify. *)
+let run_program_case ?store config rng index profile_name program binding
+    forced =
   let ni_seed = Prng.bits rng land 0x3FFFFFFF in
   (* Store replay: ask the persistent store for a prior CFM verdict on
      this exact (program, binding). Divergence from the fresh verdict is
@@ -479,13 +311,9 @@ let run_case ?store config index =
         Some r.Job.verdict
       | Some _ | None -> None)
   in
-  let replay = Option.is_some store && override_cfm = None in
+  let replay = Option.is_some store && forced.cfm = None in
   let stored_cfm = if replay then lookup program else None in
-  let verdicts =
-    Oracle.run ?override_cfm ?override_cert ?override_lint ?override_dataflow
-      ?stored_cfm ~ni_seed ~ni_pairs:config.ni_pairs
-      ~max_states:config.max_states binding program
-  in
+  let verdicts = run_oracle config forced ?stored_cfm ~ni_seed binding program in
   (if replay && stored_cfm = None then
      match store with
      | Some st ->
@@ -511,13 +339,34 @@ let run_case ?store config index =
            (P_program
               ( program,
                 binding,
-                override_cfm,
-                override_cert,
-                override_lint,
-                override_dataflow,
+                forced,
                 (if replay then lookup else fun _ -> None),
                 ni_seed )));
   }
+
+(* The index space: [cases] random program cases, then the rows of the
+   enabled plants in registry order, then [refine_cases] honest
+   refinement cases. *)
+let run_case ?store (config : config) rows index =
+  let rng = case_rng config.seed index in
+  let row = index - config.cases in
+  if row >= Array.length rows then
+    run_refine_case config ~planted:false rng index
+  else if row >= 0 then
+    match rows.(row) with
+    | Refine_row -> run_refine_case config ~planted:true rng index
+    | Program_row (profile_name, program, binding, forced) ->
+      run_program_case ?store config rng index profile_name program binding
+        forced
+  else
+    let profile_name, cfg_gen =
+      List.nth profiles (index mod List.length profiles)
+    in
+    let size = Prng.range rng config.size_min config.size_max in
+    let program = generate_case rng profile_name cfg_gen ~size in
+    let binding = random_binding rng program in
+    run_program_case ?store config rng index profile_name program binding
+      honest
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking and persistence *)
@@ -547,21 +396,11 @@ let shrink_counterexample config sink seen (o : outcome) =
        and persists the swapped unit. *)
     let program, binding, shrunk, stats, write_corpus =
       match payload with
-      | P_program
-          ( program,
-            binding,
-            override_cfm,
-            override_cert,
-            override_lint,
-            override_dataflow,
-            lookup,
-            ni_seed ) ->
+      | P_program (program, binding, forced, lookup, ni_seed) ->
         let keep p =
           Wellformed.is_valid p
           && matches_label
-               (Oracle.run ?override_cfm ?override_cert ?override_lint
-                  ?override_dataflow ?stored_cfm:(lookup p) ~ni_seed
-                  ~ni_pairs:config.ni_pairs ~max_states:config.max_states
+               (run_oracle config forced ?stored_cfm:(lookup p) ~ni_seed
                   binding p)
         in
         let shrunk, stats =
@@ -721,6 +560,9 @@ let run ?(sink = Telemetry.null_sink ()) (config : config) =
   if config.size_min < 1 || config.size_max < config.size_min then
     invalid_arg "Campaign.run: bad size range";
   let timer = Telemetry.start () in
+  let plants = List.sort_uniq Plant.compare config.plants in
+  let rows = Array.of_list (List.concat_map rows_of_plant plants) in
+  let store_stale = List.mem Plant.Store_stale plants in
   (* The replay store: explicit [store_dir], or — so the planted case is
      self-contained — a seed-derived scratch directory. *)
   let store =
@@ -728,7 +570,7 @@ let run ?(sink = Telemetry.null_sink ()) (config : config) =
       match config.store_dir with
       | Some _ as some -> some
       | None ->
-        if config.plant_store_stale then
+        if store_stale then
           Some
             (Filename.concat
                (Filename.get_temp_dir_name ())
@@ -743,26 +585,16 @@ let run ?(sink = Telemetry.null_sink ()) (config : config) =
       dir
   in
   (match store with
-  | Some st when config.plant_store_stale ->
+  | Some st when store_stale ->
     (* Poison the store before anyone reads it: the planted program's
        entry carries the flipped verdict. *)
-    let program, binding = planted_store_case () in
+    let program, binding = padded store_stale_middle in
     let honest = Ifc_core.Cfm.certified binding program.Ast.body in
     Store.add st
       ~digest:(store_digest program binding)
       (stored_cfm_entry (not honest))
   | _ -> ());
-  let total =
-    config.cases
-    + (if config.plant_inversion then 1 else 0)
-    + (if config.plant_cert_inversion then 1 else 0)
-    + (if config.plant_lint_unsound then 1 else 0)
-    + (if config.plant_chan_unsound then 1 else 0)
-    + (if config.plant_store_stale then 1 else 0)
-    + (if config.plant_dataflow_unsound then 2 else 0)
-    + (if config.plant_refine_unsound then 1 else 0)
-    + config.refine_cases
-  in
+  let total = config.cases + Array.length rows + config.refine_cases in
   let deadline =
     Option.map
       (fun seconds ->
@@ -779,7 +611,7 @@ let run ?(sink = Telemetry.null_sink ()) (config : config) =
     in
     if past_deadline then slots.(index) <- Some Timed_out
     else begin
-      let o = run_case ?store config index in
+      let o = run_case ?store config rows index in
       slots.(index) <- Some (Done o);
       Telemetry.emit sink
         [

@@ -23,7 +23,7 @@
     out, and which ones depends on scheduling). *)
 
 type config = {
-  cases : int;  (** Random cases to draw (the planted case is extra). *)
+  cases : int;  (** Random cases to draw (planted cases are extra). *)
   seed : int;
   jobs : int;  (** Worker domains. *)
   size_min : int;  (** Requested {!Ifc_lang.Gen} size range. *)
@@ -42,64 +42,36 @@ type config = {
           honest verdict back, so a second campaign over the same
           directory replays every case. Forced-CFM planted cases never
           touch the store. *)
-  plant_inversion : bool;
-      (** Test hook ([IFC_FUZZ_PLANT_INVERSION] in the CLI): append one
-          case whose program leaks directly while its CFM verdict is
-          forcibly overridden to "certified", simulating an unsound
-          analyzer. The campaign must flag it, shrink it to the single
-          leaking assignment, and persist it with honest verdicts. *)
-  plant_cert_inversion : bool;
-      (** Test hook ([IFC_FUZZ_PLANT_CERT_INVERSION] in the CLI): append
-          one provable case whose certificate round-trip verdict is
-          forcibly overridden to "rejected", simulating a broken
-          emit/serialize/check pipeline. The campaign must classify it as
-          [cert-inversion], shrink it, and persist it with honest
-          verdicts. *)
-  plant_lint_unsound : bool;
-      (** Test hook ([IFC_FUZZ_PLANT_LINT_UNSOUND] in the CLI): append
-          one case containing a guaranteed deadlock while the concurrency
-          analyzer's claims are forcibly overridden to all-safe,
-          simulating an unsound static analysis. The dynamic evidence
-          explorations reach the stuck state, so the campaign must
-          classify the case as [deadlock-unsound], shrink it to the
-          single [wait], and persist it with honest verdicts. *)
-  plant_chan_unsound : bool;
-      (** Test hook ([IFC_FUZZ_PLANT_CHAN_UNSOUND] in the CLI): append
-          one case containing a guaranteed communication deadlock — a
-          [recv] on a channel nobody sends on — while the analyzer's
-          claims are forcibly overridden to all-safe. The dynamic
-          evidence explorations reach the stuck state with the channel
-          blocked, so the campaign must classify the case as
-          [chan-deadlock-unsound], shrink it to the single [recv], and
-          persist it with honest verdicts. *)
-  plant_store_stale : bool;
-      (** Test hook ([IFC_FUZZ_PLANT_STORE_STALE] in the CLI): before the
-          campaign runs, write a store entry for one appended all-low
-          case carrying the {e flipped} CFM verdict — a stale or tampered
-          artifact. Replay finds it, every honest analyzer disagrees, and
-          the campaign must classify the case as [store-stale]. Uses
-          [store_dir] when set, else a seed-derived scratch directory. *)
-  plant_dataflow_unsound : bool;
-      (** Test hook ([IFC_FUZZ_PLANT_DATAFLOW_UNSOUND] in the CLI):
-          append {e two} cases exercising the dataflow cross-checks. The
-          first forces the oracle's dataflow leg to report a bogus pruned
-          arm at the span of a statement every execution steps — the
-          exploration's visit witness refutes it, so the case must
-          classify as [prune-unsound]. The second is an honestly rejected
-          leak whose emitted flow witness has its sink span forcibly
-          corrupted before replay — the replay finds no failed check
-          there, so the case must classify as [witness-bogus]. Both
-          shrink to a single statement and persist with honest
-          verdicts. *)
-  plant_refine_unsound : bool;
-      (** Test hook ([IFC_FUZZ_PLANT_REFINE_UNSOUND] in the CLI): append
-          one {!Modfuzz.planted} module pair — a certified two-module
-          unit and a replacement that pipes the link-wide secret into its
-          low export — with the refinement claim forcibly overridden to
-          "accepted". The executor refutes the claim on the swapped unit,
-          so the campaign must classify the case as [refine-unsound],
-          shrink it to a minimal module pair, and persist the swapped
-          unit in linked syntax with honest verdicts. *)
+  plants : Ifc_support.Plant.t list;
+      (** Test hooks ([IFC_PLANT] in the CLI; see {!Ifc_support.Plant}).
+          Each enabled fuzz plant appends its planted cases after the
+          [cases] random ones, in registry order whatever the list's
+          order: a program (or, for [refine-unsound], a module pair)
+          whose verdict is forced wrong, simulating a broken analyzer,
+          certificate pipeline or store. The campaign must classify each
+          as its inversion, shrink it, and persist it with honest
+          verdicts:
+          - [inversion]: a direct leak certified by force, classified
+            [unsound-certification] and shrunk to the single [y := x];
+          - [cert-inversion]: a provable program whose certificate
+            round-trip is forced to fail ([cert-inversion]);
+          - [lint-unsound]: a [wait] nobody signals, with the
+            concurrency analyzer forced to all-safe
+            ([deadlock-unsound]);
+          - [chan-unsound]: a [recv] nobody sends to, forced the same
+            way ([chan-deadlock-unsound]);
+          - [store-stale]: an all-low program whose store entry is
+            written with the flipped CFM verdict before the campaign
+            runs ([store-stale]); uses [store_dir] when set, else a
+            seed-derived scratch directory;
+          - [dataflow-unsound]: two cases, a bogus pruned arm at a
+            statement every execution steps ([prune-unsound]) and a
+            leak whose flow witness has its sink span corrupted
+            ([witness-bogus]);
+          - [refine-unsound]: {!Modfuzz.planted}, with the refinement
+            claim forced to accepted ([refine-unsound]); the swapped
+            unit persists in linked syntax.
+          [stall:MS] adds no case. *)
   refine_cases : int;
       (** Honest refinement cases ({!Modfuzz.generate}) appended after
           every planted case: module pair plus mutated replacement, the

@@ -17,7 +17,7 @@
     A case with both is the [refine-unsound] inversion
     ({!Classify.Refine_unsound}) — a bug in the summary comparison by
     construction, since the honest checker is sound. [planted] fabricates
-    one for the campaign's [IFC_FUZZ_PLANT_REFINE_UNSOUND] hook: the
+    one for the campaign's [refine-unsound] plant ([IFC_PLANT]): the
     replacement pipes [secret] into the low export, the honest rejection
     is overridden, and the executor refutes the forced claim. *)
 

@@ -54,7 +54,6 @@ let request t line =
       (if wrote then "connection closed by the server"
        else "connection closed while sending the request")
   | `Oversized -> Error "response exceeded the reader limit"
-  | `Stop -> Error "read interrupted"
 
 let check t ?id ?name ?lattice ?binding ?analyses ?self_check ?ni_pairs
     ?ni_max_states ?deadline_ms program =

@@ -1,5 +1,5 @@
-(* Endpoints, the bounded newline-delimited reader, and the
-   per-connection serve loop shared by server and client. *)
+(* Endpoints and the bounded newline-delimited reader and writer shared
+   by server and client. *)
 
 (* ------------------------------------------------------------------ *)
 (* Endpoints *)
@@ -92,26 +92,23 @@ let feed r n =
     | _ -> ()
   done
 
-let rec next_line ?(poll_interval = 0.2) ?(should_stop = fun () -> false) r =
+(* A plain blocking read: no select, so a client may hold descriptors
+   at or above FD_SETSIZE. *)
+let rec next_line r =
   match Queue.take_opt r.pending with
   | Some (`Line l) -> `Line l
   | Some `Oversized -> `Oversized
   | None ->
     if r.eof then `Eof
-    else if should_stop () then `Stop
     else begin
-      (match Unix.select [ r.fd ] [] [] poll_interval with
-      | [], _, _ -> ()
-      | _ -> (
-        match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
-        | 0 -> r.eof <- true
-        | n -> feed r n
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _)
-          ->
-          r.eof <- true)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      next_line ~poll_interval ~should_stop r
+      (match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
+      | 0 -> r.eof <- true
+      | n -> feed r n
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _)
+        ->
+        r.eof <- true);
+      next_line r
     end
 
 (* Nonblocking half of the reader, for event loops that multiplex many
@@ -137,8 +134,6 @@ let feed_fd r =
 
 let pop_item r = Queue.take_opt r.pending
 
-let at_eof r = r.eof
-
 (* ------------------------------------------------------------------ *)
 (* Writing *)
 
@@ -153,16 +148,3 @@ let write_line fd line =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
   in
   try go 0 with Unix.Unix_error _ -> false
-
-(* ------------------------------------------------------------------ *)
-(* The serve loop *)
-
-let serve ~limits ~should_stop ~handle fd =
-  let r = reader ~max_bytes:limits.Limits.max_request_bytes fd in
-  let rec loop () =
-    match next_line ~should_stop r with
-    | `Eof | `Stop -> ()
-    | `Line l -> if write_line fd (handle (`Line l)) then loop ()
-    | `Oversized -> if write_line fd (handle `Oversized) then loop ()
-  in
-  loop ()

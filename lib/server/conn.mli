@@ -1,11 +1,7 @@
 (** Socket plumbing shared by the daemon and its clients: endpoint
-    addressing, a bounded newline-delimited reader, and the
-    one-request-per-line serve loop.
-
-    Everything here polls: blocking reads are [select] loops with a
-    short timeout and a [should_stop] callback, which is what lets a
-    draining server close idle connections without killing in-flight
-    requests, and lets [EINTR] (signal delivery) never surface. *)
+    addressing, a bounded newline-delimited reader with a blocking half
+    for clients and a nonblocking half for the daemon's event loops, and
+    a line writer. [EINTR] (signal delivery) never surfaces. *)
 
 type endpoint = Unix_socket of string | Tcp of string * int
 (** Where a server listens or a client connects. [Tcp (host, 0)] asks
@@ -33,14 +29,10 @@ val reader : ?max_bytes:int -> Unix.file_descr -> reader
 (** [max_bytes] caps a single line (default unlimited — clients trust
     their server; servers must not trust their clients). *)
 
-val next_line :
-  ?poll_interval:float ->
-  ?should_stop:(unit -> bool) ->
-  reader ->
-  [ `Line of string | `Oversized | `Eof | `Stop ]
-(** Blocks (polling every [poll_interval] seconds, default 0.2) until a
-    full line is available, the peer closes, or [should_stop] answers
-    [true] between polls. *)
+val next_line : reader -> [ `Line of string | `Oversized | `Eof ]
+(** Blocks until a full line is available or the peer closes. A plain
+    blocking [read], with no [select], so it works on descriptors at or
+    above {!Limits.fd_setsize}. *)
 
 val feed_fd : reader -> [ `Read | `Eof | `Blocked ]
 (** Nonblocking half of the reader, for event loops: one [read] attempt
@@ -53,23 +45,8 @@ val feed_fd : reader -> [ `Read | `Eof | `Blocked ]
 val pop_item : reader -> item option
 (** Takes the next buffered item without touching the socket. *)
 
-val at_eof : reader -> bool
-
 (** {1 Writing} *)
 
 val write_line : Unix.file_descr -> string -> bool
 (** Writes [line ^ "\n"] fully; [false] if the peer is gone ([EPIPE]
     and friends), which callers treat as end-of-connection. *)
-
-(** {1 Serving} *)
-
-val serve :
-  limits:Limits.t ->
-  should_stop:(unit -> bool) ->
-  handle:(item -> string) ->
-  Unix.file_descr ->
-  unit
-(** The connection loop: read one request item, write [handle item] as
-    one response line, repeat until EOF, a dead peer, or [should_stop].
-    The stop check only fires {e between} requests — an accepted request
-    always gets its response, which is the drain guarantee. *)

@@ -1,6 +1,6 @@
-(* The classification result shared by the server's two connection
-   engines (the legacy thread-per-connection loop and the sharded event
-   loop), kept in its own module so Shard does not depend on Server.
+(* The classification result shared by the server's shard event loops
+   and [Server.handle], kept in its own module so Shard does not depend
+   on Server.
 
    Classifying a request either produces the complete response line on
    the spot (cache hits, protocol errors, ping/stats, inline cert
@@ -17,7 +17,7 @@ type pooled = {
   cancelled : bool Atomic.t;
       (* Cooperative cancellation: set before a worker picks the job up
          and the job is never executed at all. The [timeout] callback
-         sets it; engines killing a dead connection set it directly. *)
+         sets it; a shard closing a dead connection sets it directly. *)
   submit : complete:(string -> unit) -> unit;
       (* Hand the job to the worker pool. [complete] is called at most
          once, from the worker, with the final accounted response line;

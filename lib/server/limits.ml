@@ -17,20 +17,19 @@ let default =
     default_deadline_ms = 0;
   }
 
-(* The event loops poll with select(2), whose fd sets cannot hold a
-   descriptor numbered FD_SETSIZE or above — asking for more
-   connections than that produces a raw EINVAL deep inside the loop.
-   Validate up front instead. *)
+(* The connection shards poll with select(2), whose fd sets cannot hold
+   a descriptor numbered FD_SETSIZE or above. A cap that high can never
+   be reached (the acceptor refuses such descriptors), so reject it up
+   front. *)
 let fd_setsize = 1024
 
 let check_fd_budget ~what n =
   if n >= fd_setsize then
     Error
       (Printf.sprintf
-         "%s %d exceeds the select() FD_SETSIZE budget: the connection \
-          engines poll with select(2), which only accepts file descriptors \
-          below %d. Use a value below %d (or 0 for unlimited, at your own \
-          risk)."
+         "%s %d exceeds the select() FD_SETSIZE budget: the server's \
+          connection shards poll with select(2), which only accepts file \
+          descriptors below %d. Use a value below %d."
          what n fd_setsize fd_setsize)
   else Ok ()
 

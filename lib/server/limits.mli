@@ -27,15 +27,16 @@ val default : t
     pipelined requests per connection, no deadline. *)
 
 val fd_setsize : int
-(** [1024]: the select(2) fd-set capacity the connection engines are
+(** [1024]: the select(2) fd-set capacity the connection shards are
     subject to. A descriptor numbered [fd_setsize] or above makes
-    [Unix.select] fail with a raw [EINVAL]. *)
+    [Unix.select] fail with a raw [EINVAL], so the acceptor answers such
+    a connection [overloaded] instead of dealing it to a shard. *)
 
 val check_fd_budget : what:string -> int -> (unit, string) result
 (** [check_fd_budget ~what n] rejects a requested connection or client
-    count [n >= fd_setsize] with a message naming [what], so callers
-    fail with a clear configuration error instead of a mid-run
-    [EINVAL]. [n = 0] (unlimited) passes. *)
+    count [n >= fd_setsize], which no server could hold, with a message
+    naming [what]: a clear configuration error up front. [n = 0]
+    (unlimited) passes. *)
 
 (** {1 Gauge}
 

@@ -5,9 +5,8 @@
    requests open (write until [window] outstanding, then read one
    response and refill), correlating responses to requests by id —
    exactly the traffic shape the sharded engine is built for. Setting
-   [window = 1] degrades to the classic serial request/response loop,
-   which is how the differential oracle replays a stream against the
-   legacy engine. *)
+   [window = 1] degrades to the classic serial request/response
+   loop. *)
 
 module J = Ifc_pipeline.Telemetry
 
@@ -160,7 +159,7 @@ let client_loop cfg shared client_index =
                   | Some (code, _) -> code
                   | None -> "unknown")
               end)))
-      | `Eof | `Oversized | `Stop ->
+      | `Eof | `Oversized ->
         if !received < !sent then incr proto;
         dead := true
     in

@@ -24,8 +24,8 @@ type config = {
   ops : op list;  (** Cycled per request; empty means [[Check]]. *)
   name : string;
       (** Request name sent with every job — name a load ["stall…"] to
-          trip the server's [IFC_SERVE_PLANT_STALL] fault-injection
-          hook. *)
+          trip a server started with the [IFC_PLANT=stall:MS]
+          fault-injection plant. *)
   retry_for : float;  (** Passed to {!Client.connect}. *)
 }
 

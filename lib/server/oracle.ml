@@ -1,19 +1,27 @@
-(* Differential server oracle: the same request stream must produce the
-   same verdicts from the legacy thread-per-connection engine
-   ([shards = 0]) and the sharded pipelined engine.
+(* Differential server oracle: the server engine, driven over sockets
+   with pipelined traffic, must answer a request stream exactly as
+   sequential [Server.handle] calls on an in-process server do.
 
    A seeded generator builds a stream of check/cert/lint/ping requests
-   (plus envelope errors) with distinct correlation ids. The stream is
-   replayed serially against a legacy server and pipelined (window of
-   in-flight requests, several connections) against a sharded server;
-   responses are canonicalised — timing ([duration_ns]) and cache
-   disposition ([cache]) fields stripped, since identical concurrent
-   requests may legitimately race the cache — and compared byte for
-   byte per id. Any divergence is a bug in one engine or the other. *)
+   (plus envelope errors) with distinct correlation ids. The reference
+   transcript sends every line through [Server.handle], in order, on a
+   server that never accepts a connection. The stream is then replayed
+   pipelined (a window of in-flight requests on each of several
+   connections) against a running server; responses are canonicalised —
+   timing ([duration_ns]) and cache disposition ([cache]) fields
+   stripped, since identical concurrent requests may legitimately race
+   the cache — and compared byte for byte per id. Any divergence is a
+   bug in the engine's framing, routing, ordering or completion
+   plumbing. *)
 
 module J = Ifc_pipeline.Telemetry
 
-type divergence = { id : int; request : string; legacy : string; sharded : string }
+type divergence = {
+  id : int;
+  request : string;
+  reference : string;
+  sharded : string;
+}
 
 type result_t = {
   requests : int;
@@ -24,21 +32,41 @@ type result_t = {
 (* ------------------------------------------------------------------ *)
 (* Stream generation *)
 
+(* The builders write the current protocol version; rewrite it. *)
+let at_version v line =
+  match Jsonx.parse line with
+  | Ok (J.Obj fields) ->
+    J.json_to_string
+      (J.Obj
+         (List.map (fun (k, x) -> if k = "v" then (k, J.Int v) else (k, x)) fields))
+  | _ -> line
+
+(* A third of the pooled requests declare a version below 4, so the
+   engine's serial queue, where a job parks the connection until it
+   completes, is diffed too. Each op keeps a version that has it: check
+   from 1, cert from 2, lint from 3. *)
+let maybe_serial rng ~since line =
+  if Random.State.int rng 3 > 0 then line
+  else at_version (since + Random.State.int rng (4 - since)) line
+
 let gen_line rng i =
   let id = J.Int i in
   let variant = Random.State.int rng 24 in
   let program = Loadgen.program_variant variant in
   match Random.State.int rng 12 with
-  | 0 | 1 | 2 | 3 -> Protocol.check_line ~id ~name:"oracle" program
+  | 0 | 1 | 2 | 3 ->
+    maybe_serial rng ~since:1 (Protocol.check_line ~id ~name:"oracle" program)
   | 4 | 5 ->
     (* A leaky program: verdicts must disagree with the clean variant
-       identically on both engines. *)
-    Protocol.check_line ~id ~name:"oracle"
-      ~binding:"h : high\nx : low\ny : low"
-      (Printf.sprintf
-         "var h, x, y : integer;\nbegin x := h; y := x + %d end" variant)
-  | 6 | 7 -> Protocol.cert_emit_line ~id ~name:"oracle" program
-  | 8 | 9 -> Protocol.lint_line ~id ~name:"oracle" program
+       identically in both transcripts. *)
+    maybe_serial rng ~since:1
+      (Protocol.check_line ~id ~name:"oracle"
+         ~binding:"h : high\nx : low\ny : low"
+         (Printf.sprintf
+            "var h, x, y : integer;\nbegin x := h; y := x + %d end" variant))
+  | 6 | 7 ->
+    maybe_serial rng ~since:2 (Protocol.cert_emit_line ~id ~name:"oracle" program)
+  | 8 | 9 -> maybe_serial rng ~since:3 (Protocol.lint_line ~id ~name:"oracle" program)
   | 10 -> Protocol.ping_line ~id ()
   | _ -> (
     (* Envelope errors: responses are fixed strings, so they diff too. *)
@@ -69,21 +97,21 @@ let rec strip json =
 (* ------------------------------------------------------------------ *)
 (* Replay *)
 
-(* Serial replay over one connection: the reference transcript. *)
-let replay_serial endpoint stream =
-  Client.with_client ~retry_for:5. endpoint (fun client ->
-      let responses = Hashtbl.create (List.length stream) in
-      let rec go = function
-        | [] -> Ok responses
-        | (i, line) :: rest -> (
-          match Client.request client line with
-          | Ok json ->
-            Hashtbl.replace responses i (J.json_to_string (strip json));
-            go rest
-          | Error msg ->
-            Error (Printf.sprintf "serial replay broke at id %d: %s" i msg))
-      in
-      go stream)
+(* The reference transcript: every line through [Server.handle], in
+   order. *)
+let replay_handle server stream =
+  let responses = Hashtbl.create (List.length stream) in
+  let rec go = function
+    | [] -> Ok responses
+    | (i, line) :: rest -> (
+      match Jsonx.parse (Server.handle server (`Line line)) with
+      | Ok json ->
+        Hashtbl.replace responses i (J.json_to_string (strip json));
+        go rest
+      | Error msg ->
+        Error (Printf.sprintf "unparseable response to id %d: %s" i msg))
+  in
+  go stream
 
 (* Pipelined replay: the stream is dealt round-robin over [conns]
    connections, each keeping [window] requests in flight. *)
@@ -141,8 +169,7 @@ let replay_pipelined ?(conns = 4) ?(window = 16) endpoint stream =
             decr inflight
           | None -> fail ("pipelined replay: uncorrelatable response " ^ l))
         | `Eof -> fail "pipelined replay: connection closed early"
-        | `Oversized -> fail "pipelined replay: oversized response"
-        | `Stop -> fail "pipelined replay: read interrupted");
+        | `Oversized -> fail "pipelined replay: oversized response");
         send_some ()
       done
   in
@@ -153,12 +180,16 @@ let replay_pipelined ?(conns = 4) ?(window = 16) endpoint stream =
 (* ------------------------------------------------------------------ *)
 (* Harness *)
 
-let with_server ~shards ~workers f =
+(* A server on a temporary Unix socket for the duration of [f]. Only
+   with [accept] does it run its accept loop; otherwise it is stopped
+   before [run], which then drains it at once. *)
+let with_server ~accept ~shards ~workers f =
   let sock = Filename.temp_file "ifc-oracle" ".sock" in
+  let endpoint = Conn.Unix_socket sock in
   let config =
     {
       Server.default_config with
-      endpoints = [ Conn.Unix_socket sock ];
+      endpoints = [ endpoint ];
       workers;
       shards;
       cache_capacity = 256;
@@ -167,25 +198,25 @@ let with_server ~shards ~workers f =
   match Server.create config with
   | Error msg -> Error msg
   | Ok server ->
-    let thread = Thread.create Server.run server in
+    let thread = if accept then Some (Thread.create Server.run server) else None in
     Fun.protect
       ~finally:(fun () ->
         Server.request_stop server;
-        Thread.join thread;
+        (match thread with Some th -> Thread.join th | None -> Server.run server);
         try Sys.remove sock with Sys_error _ -> ())
-      (fun () -> f (Conn.Unix_socket sock))
+      (fun () -> f server endpoint)
 
 let run ?(seed = 42) ?(requests = 500) ?(shards = 2) ?(workers = 2) () =
   let stream = gen_stream ~seed ~requests in
-  let legacy =
-    with_server ~shards:0 ~workers (fun endpoint ->
-        replay_serial endpoint stream)
+  let reference =
+    with_server ~accept:false ~shards:1 ~workers (fun server _ ->
+        replay_handle server stream)
   in
-  match legacy with
-  | Error msg -> Error ("legacy engine: " ^ msg)
-  | Ok legacy_responses -> (
+  match reference with
+  | Error msg -> Error ("reference: " ^ msg)
+  | Ok reference_responses -> (
     let sharded =
-      with_server ~shards ~workers (fun endpoint ->
+      with_server ~accept:true ~shards ~workers (fun _ endpoint ->
           replay_pipelined endpoint stream)
     in
     match sharded with
@@ -195,15 +226,15 @@ let run ?(seed = 42) ?(requests = 500) ?(shards = 2) ?(workers = 2) () =
         List.filter_map
           (fun (i, request) ->
             let missing = "<no response>" in
-            let l =
+            let r =
               Option.value ~default:missing
-                (Hashtbl.find_opt legacy_responses i)
+                (Hashtbl.find_opt reference_responses i)
             and s =
               Option.value ~default:missing
                 (Hashtbl.find_opt sharded_responses i)
             in
-            if l = s then None
-            else Some { id = i; request; legacy = l; sharded = s })
+            if r = s then None
+            else Some { id = i; request; reference = r; sharded = s })
           stream
       in
       Ok { requests; compared = List.length stream; divergences })
@@ -223,7 +254,7 @@ let report_fields r =
                   [
                     ("id", J.Int d.id);
                     ("request", J.String d.request);
-                    ("legacy", J.String d.legacy);
+                    ("reference", J.String d.reference);
                     ("sharded", J.String d.sharded);
                   ])
               r.divergences)) );

@@ -1,18 +1,18 @@
 (* The certification daemon: multiplexes concurrent client connections
    onto one Ifc_pipeline.Pool and one shared result Cache.
 
-   Threading model: the accept loop runs on the caller of [run]; each
-   accepted connection gets a (lightweight, I/O-bound) thread; each
-   check request is submitted to the (CPU-bound, domain-backed) worker
-   pool and awaited by its connection thread with a polling wait so a
-   deadline can fire even while the job is running. Cancellation is
-   cooperative: a request abandoned before a worker picks it up is never
-   executed at all.
+   Threading model: the accept loop runs on the caller of [run] and
+   deals each accepted connection to one of [shards] event-loop threads
+   (Shard), which own its buffers; each request is classified here
+   ([classify]) into an immediate response or a pooled job, which the
+   shard submits to the (CPU-bound, domain-backed) worker pool and races
+   against its deadline. Cancellation is cooperative: a request
+   abandoned before a worker picks it up is never executed at all.
 
    Shutdown is a drain: [request_stop] (signal-handler safe — it only
-   flips an atomic) stops the accept loop; connection loops finish the
-   request they are serving, refuse to read another, and exit; the pool
-   is then drained and joined, the request log closed, sockets
+   flips an atomic) stops the accept loop; each shard stops reading,
+   answers what it has buffered and in flight, flushes and exits; the
+   pool is then drained and joined, the request log closed, sockets
    unlinked. *)
 
 module J = Ifc_pipeline.Telemetry
@@ -25,6 +25,7 @@ module Builtin = Ifc_lattice.Builtin
 module Parser = Ifc_lang.Parser
 module Wellformed = Ifc_lang.Wellformed
 module Binding = Ifc_core.Binding
+module Plant = Ifc_support.Plant
 
 type config = {
   endpoints : Conn.endpoint list;
@@ -59,10 +60,6 @@ type t = {
   conns : Limits.gauge;
   listeners : (Unix.file_descr * Conn.endpoint) list;
   tcp_port : int option;
-  threads_mutex : Mutex.t;
-  threads : (int, Thread.t) Hashtbl.t;
-  finished : (int, unit) Hashtbl.t;
-  conn_seq : int Atomic.t;
   log : J.sink;
   stall_ms : int;
   mutable shard_rts : Shard.t list;
@@ -100,7 +97,10 @@ let bind_endpoint ep =
 let create config =
   if config.endpoints = [] then Error "server needs at least one endpoint"
   else if config.workers < 1 then Error "server needs at least one worker"
-  else if config.shards < 0 then Error "server needs a non-negative shard count"
+  else if config.shards < 1 then
+    Error
+      (Printf.sprintf "server needs at least one connection shard (got %d)"
+         config.shards)
   else
     match
       Limits.check_fd_budget ~what:"max connections"
@@ -108,6 +108,14 @@ let create config =
     with
     | Error msg -> Error msg
     | Ok () ->
+    (* Deterministic fault injection for the adversarial tests: with
+       IFC_PLANT=stall:MS, any pooled job whose request name starts with
+       "stall" sleeps MS milliseconds on its worker before running (and
+       re-checks cancellation after the sleep), making deadline and
+       backpressure behavior reproducible without a slow program. *)
+    match Plant.of_env () with
+    | Error msg -> Error msg
+    | Ok plants ->
   begin
     (* A dead client must surface as EPIPE on write, not kill the
        process. *)
@@ -135,27 +143,13 @@ let create config =
             | Conn.Unix_socket _ -> None)
           listeners
       in
-      (* Deterministic fault injection for the adversarial tests: when
-         IFC_SERVE_PLANT_STALL carries a number of milliseconds, any
-         pooled job whose request name starts with "stall" sleeps that
-         long on its worker before running (and re-checks cancellation
-         after the sleep), making deadline and backpressure behavior
-         reproducible without a slow program. *)
-      let stall_ms =
-        match Sys.getenv_opt "IFC_SERVE_PLANT_STALL" with
-        | Some s -> ( match int_of_string_opt (String.trim s) with
-          | Some ms when ms > 0 -> ms
-          | _ -> 0)
-        | None -> 0
-      in
       let t =
         {
           config;
           pool = Pool.create ~workers:config.workers ();
           cache =
-            Cache.create
-              ~shards:(max 1 config.shards)
-              ~capacity:config.cache_capacity ();
+            Cache.create ~shards:config.shards ~capacity:config.cache_capacity
+              ();
           counters = J.counters ();
           latency = J.histogram ();
           started = J.start ();
@@ -164,12 +158,8 @@ let create config =
           conns = Limits.gauge ();
           listeners;
           tcp_port;
-          threads_mutex = Mutex.create ();
-          threads = Hashtbl.create 16;
-          finished = Hashtbl.create 16;
-          conn_seq = Atomic.make 0;
           log = Option.value ~default:(J.null_sink ()) config.log;
-          stall_ms;
+          stall_ms = Plant.stall_ms plants;
           shard_rts = [];
         }
       in
@@ -690,6 +680,8 @@ let stats_fields t =
           ("pending_jobs", J.Int (Pool.pending t.pool));
           ("active_connections", J.Int (Limits.value t.conns));
           ("peak_connections", J.Int (Limits.peak t.conns));
+          ("max_connections", J.Int t.config.limits.Limits.max_connections);
+          ("fd_setsize", J.Int Limits.fd_setsize);
           ( "counters",
             J.Obj
               (List.map (fun (k, v) -> (k, J.Int v)) (J.snapshot t.counters)) );
@@ -765,10 +757,10 @@ let classify t item =
       classify_modsys t ~timer ~v id req)
 
 (* One request item in, one response line out: the blocking adapter
-   over [classify] used by the thread-per-connection engine, embedders,
-   and tests. The slot is an atomic written once by the worker; polling
-   (1 ms) instead of a condition variable keeps the deadline honest
-   even while the job is running. *)
+   over [classify] used by embedders, tests and the differential
+   oracle's reference transcript. The slot is an atomic written once by
+   the worker; polling (1 ms) instead of a condition variable keeps the
+   deadline honest even while the job is running. *)
 let handle t item =
   match classify t item with
   | Dispatch.Immediate line -> line
@@ -798,48 +790,6 @@ let handle t item =
 (* ------------------------------------------------------------------ *)
 (* Accept loop, drain, shutdown *)
 
-let spawn_connection t fd =
-  if
-    not
-      (Limits.try_incr t.conns ~limit:t.config.limits.Limits.max_connections)
-  then begin
-    J.incr t.counters "errors";
-    J.incr t.counters "error.overloaded";
-    ignore
-      (Conn.write_line fd
-         (Protocol.error_response ~id:J.Null Protocol.Overloaded
-            (Printf.sprintf "server is at its %d connection limit"
-               t.config.limits.Limits.max_connections)));
-    try Unix.close fd with Unix.Unix_error _ -> ()
-  end
-  else begin
-    J.incr t.counters "connections";
-    let key = Atomic.fetch_and_add t.conn_seq 1 in
-    let thread =
-      Thread.create
-        (fun () ->
-          Fun.protect
-            ~finally:(fun () ->
-              Limits.decr t.conns;
-              (try Unix.close fd with Unix.Unix_error _ -> ());
-              Mutex.lock t.threads_mutex;
-              (* Deregister; if the spawner has not registered us yet,
-                 leave a tombstone so it knows not to. *)
-              if Hashtbl.mem t.threads key then Hashtbl.remove t.threads key
-              else Hashtbl.replace t.finished key ();
-              Mutex.unlock t.threads_mutex)
-            (fun () ->
-              Conn.serve ~limits:t.config.limits
-                ~should_stop:(fun () -> Atomic.get t.stop)
-                ~handle:(handle t) fd))
-        ()
-    in
-    Mutex.lock t.threads_mutex;
-    if Hashtbl.mem t.finished key then Hashtbl.remove t.finished key
-    else Hashtbl.replace t.threads key thread;
-    Mutex.unlock t.threads_mutex
-  end
-
 let drain t =
   if not (Atomic.exchange t.drained true) then begin
     List.iter
@@ -849,20 +799,12 @@ let drain t =
         | Conn.Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
         | Conn.Tcp _ -> ())
       t.listeners;
-    (* Event-loop engine: wake each shard out of its poll, then wait for
-       it to drain (buffered requests answered, in-flight jobs done,
-       responses flushed) and exit. *)
+    (* Wake each shard out of its poll, then wait for it to drain
+       (buffered requests answered, in-flight jobs done, responses
+       flushed) and exit. *)
     List.iter Shard.wake t.shard_rts;
     List.iter Shard.join t.shard_rts;
     t.shard_rts <- [];
-    (* Legacy engine: join the per-connection threads. *)
-    let remaining () =
-      Mutex.lock t.threads_mutex;
-      let ts = Hashtbl.fold (fun _ th acc -> th :: acc) t.threads [] in
-      Mutex.unlock t.threads_mutex;
-      ts
-    in
-    List.iter Thread.join (remaining ());
     Pool.shutdown t.pool;
     (* The last writes are done: persist the cache's final recency
        ranking so the next boot preloads today's hot set. *)
@@ -878,22 +820,40 @@ let drain t =
     J.close t.log
   end
 
-(* Sharded engine: the acceptor only enforces the connection cap and
-   deals accepted sockets round-robin to the shard event loops. *)
+(* Whether the shards' [select] can hold this descriptor. The daemon's
+   own descriptors (standard streams, listeners, wake pipes, store reads,
+   the log) move the first unpollable connection, so ask [select]
+   itself: it raises EINVAL on a descriptor at or above FD_SETSIZE. *)
+let pollable fd =
+  match Unix.select [ fd ] [] [] 0. with
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINVAL, _, _) -> false
+  | exception Unix.Unix_error _ -> true
+
+(* The acceptor only enforces the connection caps and deals accepted
+   sockets round-robin to the shard event loops. *)
 let assign_connection t shards next fd =
-  if
-    not
-      (Limits.try_incr t.conns ~limit:t.config.limits.Limits.max_connections)
-  then begin
+  let refuse message =
     J.incr t.counters "errors";
     J.incr t.counters "error.overloaded";
     ignore
       (Conn.write_line fd
-         (Protocol.error_response ~id:J.Null Protocol.Overloaded
-            (Printf.sprintf "server is at its %d connection limit"
-               t.config.limits.Limits.max_connections)));
+         (Protocol.error_response ~id:J.Null Protocol.Overloaded message));
     try Unix.close fd with Unix.Unix_error _ -> ()
-  end
+  in
+  if not (pollable fd) then
+    refuse
+      (Printf.sprintf
+         "server cannot poll another connection: select(2) holds only \
+          descriptors below %d"
+         Limits.fd_setsize)
+  else if
+    not
+      (Limits.try_incr t.conns ~limit:t.config.limits.Limits.max_connections)
+  then
+    refuse
+      (Printf.sprintf "server is at its %d connection limit"
+         t.config.limits.Limits.max_connections)
   else begin
     J.incr t.counters "connections";
     let i = !next in
@@ -913,13 +873,11 @@ let run t =
              t.listeners) );
     ];
   let shards =
-    if t.config.shards = 0 then [||]
-    else
-      Array.init t.config.shards (fun _ ->
-          Shard.start ~limits:t.config.limits
-            ~should_stop:(fun () -> Atomic.get t.stop)
-            ~on_conn_close:(fun () -> Limits.decr t.conns)
-            ~classify:(classify t) ())
+    Array.init t.config.shards (fun _ ->
+        Shard.start ~limits:t.config.limits
+          ~should_stop:(fun () -> Atomic.get t.stop)
+          ~on_conn_close:(fun () -> Limits.decr t.conns)
+          ~classify:(classify t) ())
   in
   t.shard_rts <- Array.to_list shards;
   let next = ref 0 in
@@ -931,9 +889,7 @@ let run t =
         List.iter
           (fun lfd ->
             match Unix.accept lfd with
-            | cfd, _addr ->
-              if Array.length shards = 0 then spawn_connection t cfd
-              else assign_connection t shards next cfd
+            | cfd, _addr -> assign_connection t shards next cfd
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
             | exception Unix.Unix_error _ -> ())
           ready

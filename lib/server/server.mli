@@ -11,28 +11,28 @@
     {!Ifc_pipeline.Telemetry} (counters, a latency histogram, an
     optional JSONL request log, and the [stats] operation).
 
-    Two connection engines share one classification core. The default
-    sharded engine runs [shards] event-loop threads, each owning the
+    The engine runs [shards] event-loop threads, each owning the
     read/write buffers of the connections dealt to it, batching NDJSON
-    reads and writes and dispatching pipelined requests concurrently.
-    Setting [shards = 0] selects the legacy thread-per-connection
-    engine — retained as the reference implementation the differential
-    server oracle replays request streams against.
+    reads and writes and dispatching pipelined requests concurrently,
+    around one classification core. {!handle} drives the same core one
+    request at a time without sockets; the differential server oracle
+    compares the two.
 
     Lifecycle: {!create} binds the sockets, {!run} serves until
     {!request_stop} (typically from a SIGINT/SIGTERM handler — it only
     flips an atomic, so it is safe in a signal handler), then drains:
-    in-flight requests complete and are answered, connection threads and
+    in-flight requests complete and are answered, shard threads and
     worker domains are joined, the request log is flushed and closed,
-    and Unix socket files are unlinked. *)
+    and Unix socket files are unlinked. Calling {!request_stop} before
+    {!run} makes {!run} drain at once, which is how a server driven only
+    through {!handle} is released. *)
 
 type config = {
   endpoints : Conn.endpoint list;  (** At least one. *)
   workers : int;  (** Worker domains for the job pool. *)
   shards : int;
-      (** Connection-shard event loops. [0] selects the legacy
-          thread-per-connection engine. The shared cache is striped
-          [max 1 shards] ways. *)
+      (** Connection-shard event loops; at least 1. The shared cache is
+          striped [shards] ways. *)
   cache_capacity : int;  (** Shared LRU result cache entries. *)
   limits : Limits.t;
   log : Ifc_pipeline.Telemetry.sink option;
@@ -56,7 +56,10 @@ type t
 val create : config -> (t, string) result
 (** Binds and listens on every endpoint (stale Unix socket files are
     unlinked first), spawns the worker pool, and ignores [SIGPIPE]
-    process-wide (a dead client must be an [EPIPE], not a crash). *)
+    process-wide (a dead client must be an [EPIPE], not a crash). Reads
+    [IFC_PLANT] once ({!Ifc_support.Plant}) for the [stall:MS] plant;
+    an unknown plant name, [shards < 1], no endpoint or no worker is an
+    [Error]. *)
 
 val port : t -> int option
 (** The actual port of the first TCP endpoint — useful after binding
@@ -65,7 +68,9 @@ val port : t -> int option
 val run : t -> unit
 (** The accept loop. Blocks until {!request_stop}, then drains and
     releases everything. Call from the thread that should own the
-    server's lifetime. *)
+    server's lifetime. A connection whose descriptor the shards'
+    [select] cannot hold (at or above {!Limits.fd_setsize}) is answered
+    [overloaded] and closed, like one over the connection cap. *)
 
 val request_stop : t -> unit
 (** Initiate graceful shutdown; safe to call from a signal handler or
@@ -74,6 +79,7 @@ val request_stop : t -> unit
 val stopped : t -> bool
 
 val handle : t -> Conn.item -> string
-(** One request item in, one response line out — the connection loop's
-    handler, exposed so embedders and tests can drive a server without
-    sockets. *)
+(** One request item in, one response line out, through the same
+    classification core the shards use — so embedders, tests and the
+    differential oracle can drive a server without sockets. Blocks until
+    a pooled job completes or its deadline passes. *)

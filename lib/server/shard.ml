@@ -10,7 +10,7 @@
    one at a time only when everything before them has been answered, so
    versions 1–3 keep their strict request-order, classify-at-dispatch
    semantics (a cache hit is a hit at the moment the request is served,
-   exactly as in the thread-per-connection engine). Requests that did
+   exactly as in sequential [Server.handle] calls). Requests that did
    declare v4 are classified on arrival and may be answered out of
    order; the per-connection in-flight cap backpressures them with an
    immediate [overloaded] response while earlier requests keep

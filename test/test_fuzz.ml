@@ -16,6 +16,7 @@ module Oracle = Ifc_fuzz.Oracle
 module Shrink = Ifc_fuzz.Shrink
 module Corpus = Ifc_fuzz.Corpus
 module Campaign = Ifc_fuzz.Campaign
+module Plant = Ifc_support.Plant
 
 let check = Alcotest.(check bool)
 
@@ -404,7 +405,7 @@ let test_planted_inversion_end_to_end () =
       Campaign.default with
       Campaign.cases = 0;
       jobs = 1;
-      plant_inversion = true;
+      plants = [ Plant.Inversion ];
       corpus_dir = Some dir;
     }
   in
@@ -442,7 +443,7 @@ let test_planted_cert_inversion_end_to_end () =
       Campaign.default with
       Campaign.cases = 0;
       jobs = 1;
-      plant_cert_inversion = true;
+      plants = [ Plant.Cert_inversion ];
       corpus_dir = Some dir;
     }
   in
@@ -481,7 +482,7 @@ let test_planted_lint_unsound_end_to_end () =
       Campaign.default with
       Campaign.cases = 0;
       jobs = 1;
-      plant_lint_unsound = true;
+      plants = [ Plant.Lint_unsound ];
       corpus_dir = Some dir;
     }
   in
@@ -526,7 +527,7 @@ let test_planted_chan_unsound_end_to_end () =
       Campaign.default with
       Campaign.cases = 0;
       jobs = 1;
-      plant_chan_unsound = true;
+      plants = [ Plant.Chan_unsound ];
       corpus_dir = Some dir;
     }
   in
@@ -577,7 +578,7 @@ let test_planted_refine_unsound_end_to_end () =
       Campaign.default with
       Campaign.cases = 0;
       jobs = 1;
-      plant_refine_unsound = true;
+      plants = [ Plant.Refine_unsound ];
       corpus_dir = Some dir;
     }
   in
@@ -693,7 +694,7 @@ let test_planted_store_stale_end_to_end () =
       Campaign.default with
       Campaign.cases = 0;
       jobs = 1;
-      plant_store_stale = true;
+      plants = [ Plant.Store_stale ];
       store_dir = Some store;
     }
   in
@@ -710,6 +711,39 @@ let test_planted_store_stale_end_to_end () =
       c.Campaign.original_statements c.Campaign.shrunk_statements
   | cs ->
     Alcotest.failf "expected exactly one counterexample, got %d" (List.length cs)
+
+let test_planted_dataflow_unsound_end_to_end () =
+  let config =
+    {
+      Campaign.default with
+      Campaign.cases = 0;
+      jobs = 1;
+      plants = [ Plant.Dataflow_unsound ];
+    }
+  in
+  let s = Campaign.run config in
+  check_int "two cases ran" 2 s.Campaign.completed;
+  check_int "two inversion cases" 2 s.Campaign.inversion_cases;
+  check_int "exit code flags the inversions" 2 (Campaign.exit_code s);
+  (* The first case reports a pruned arm at a statement every execution
+     steps, and the exploration refutes it; the second corrupts a flow
+     witness's sink span, and the replay finds no failed check there.
+     Both shrink to their single middle statement. *)
+  match s.Campaign.counterexamples with
+  | [ prune; witness ] ->
+    check_string "first case is prune-unsound" "prune-unsound"
+      prune.Campaign.label;
+    check_string "second case is witness-bogus" "witness-bogus"
+      witness.Campaign.label;
+    check_int "prune case shrinks to one statement" 1
+      prune.Campaign.shrunk_statements;
+    check_int "witness case shrinks to one statement" 1
+      witness.Campaign.shrunk_statements;
+    check_string "the witness case keeps its leak" "y := x"
+      (Ifc_lang.Pretty.stmt_to_string witness.Campaign.program.Ast.body)
+  | cs ->
+    Alcotest.failf "expected exactly two counterexamples, got %d"
+      (List.length cs)
 
 let test_store_replay_round_trip () =
   let store = fresh_dir () in
@@ -756,6 +790,8 @@ let suite =
         test_planted_chan_unsound_end_to_end;
       Alcotest.test_case "planted store-stale end-to-end" `Quick
         test_planted_store_stale_end_to_end;
+      Alcotest.test_case "planted dataflow-unsound end-to-end" `Quick
+        test_planted_dataflow_unsound_end_to_end;
       Alcotest.test_case "planted refine-unsound end-to-end" `Quick
         test_planted_refine_unsound_end_to_end;
       Alcotest.test_case "refine cases clean" `Quick test_refine_cases_clean;

@@ -814,11 +814,12 @@ let test_stats_and_warm_cache () =
 (* ------------------------------------------------------------------ *)
 (* Protocol v4: exhaustive version gate, pipelining, backpressure *)
 
-(* The deterministic fault-injection hook: while [f] runs, any pooled
-   job whose name starts with "stall" sleeps [ms] on its worker. *)
+(* The deterministic fault-injection plant: on a server created while
+   [f] runs, any pooled job whose name starts with "stall" sleeps [ms] on
+   its worker. *)
 let with_stall ms f =
-  Unix.putenv "IFC_SERVE_PLANT_STALL" (string_of_int ms);
-  Fun.protect ~finally:(fun () -> Unix.putenv "IFC_SERVE_PLANT_STALL" "") f
+  Unix.putenv "IFC_PLANT" (Printf.sprintf "stall:%d" ms);
+  Fun.protect ~finally:(fun () -> Unix.putenv "IFC_PLANT" "") f
 
 (* Raw pipelined conversation: write every line up front, then collect
    [n] response lines in arrival order. *)
@@ -838,7 +839,6 @@ let pipelined_exchange endpoint lines n =
              | `Line l -> collect (l :: acc) (k - 1)
              | `Eof -> Alcotest.fail "connection closed mid-pipeline"
              | `Oversized -> Alcotest.fail "oversized response"
-             | `Stop -> Alcotest.fail "read interrupted"
          in
          collect [] n))
 
@@ -1054,6 +1054,126 @@ let test_fd_setsize_guard () =
     Server.request_stop server;
     Alcotest.fail "server accepted max_connections above FD_SETSIZE"
 
+(* There is one server engine: a server needs at least one connection
+   shard. *)
+let test_zero_shards_rejected () =
+  let config =
+    {
+      Server.default_config with
+      Server.endpoints = [ Conn.Unix_socket (temp_sock ()) ];
+      shards = 0;
+    }
+  in
+  match Server.create config with
+  | Error msg -> check "message names the shard count" true (contains_sub msg "shard")
+  | Ok server ->
+    Server.request_stop server;
+    Alcotest.fail "server accepted zero connection shards"
+
+(* The tests that cross FD_SETSIZE hold [n] descriptors at once; a
+   process limited below that (macOS defaults to 256) skips them. *)
+let skip_without_descriptors n =
+  let r, w = Unix.pipe () in
+  let held = ref [ r; w ] in
+  Fun.protect ~finally:(fun () -> List.iter Unix.close !held) @@ fun () ->
+  try
+    for _ = 1 to n do
+      held := Unix.dup r :: !held
+    done
+  with Unix.Unix_error (Unix.EMFILE, _, _) -> Alcotest.skip ()
+
+(* One response line from [fd] by blocking reads under a receive
+   timeout: no select, whose fd sets cannot hold this process's
+   descriptors past FD_SETSIZE. [None] when the server stays silent or
+   hangs up. *)
+let read_line_within ~seconds fd =
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO seconds;
+  let line = Buffer.create 128 and byte = Bytes.create 1 in
+  let rec go () =
+    match Unix.read fd byte 0 1 with
+    | 0 -> None
+    | _ when Bytes.get byte 0 = '\n' -> Some (Buffer.contents line)
+    | _ ->
+      Buffer.add_char line (Bytes.get byte 0);
+      go ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> None
+  in
+  go ()
+
+(* A server allowed more connections than select can hold must refuse
+   the connection whose descriptor select cannot take, not deal it to a
+   shard whose select then fails and strands every connection the shard
+   serves. Server and clients share this process, so each connection
+   takes two descriptors and about 510 of them cross FD_SETSIZE. *)
+let test_connections_past_fd_setsize () =
+  skip_without_descriptors 1300;
+  let limits = { Limits.default with Limits.max_connections = 0 } in
+  with_server ~workers:1 ~shards:1 ~limits @@ fun endpoint _server ->
+  let addr = fail_result (Conn.sockaddr_of_endpoint endpoint) in
+  let held = ref [] in
+  Fun.protect ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !held)
+  @@ fun () ->
+  (* Read even when the write fails: a refused connection is answered
+     and closed before the server reads anything. *)
+  let ask fd line =
+    ignore (Conn.write_line fd line);
+    Option.map response_code_of_line (read_line_within ~seconds:3. fd)
+  in
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    held := fd :: !held;
+    Unix.connect fd addr;
+    fd
+  in
+  let first = connect () in
+  check_str "the first connection answers" "ok"
+    (Option.value ~default:"unanswered" (ask first (Protocol.ping_line ())));
+  (* Stop at the first silence: past it, at the parent, every later
+     connection waits out its timeout too. *)
+  let rec open_more k ok overloaded =
+    if k = 0 then (ok, overloaded)
+    else
+      match ask (connect ()) (Protocol.ping_line ()) with
+      | Some "ok" -> open_more (k - 1) (ok + 1) overloaded
+      | Some "overloaded" -> open_more (k - 1) ok (overloaded + 1)
+      | Some code -> Alcotest.failf "connection answered %s" code
+      | None -> Alcotest.failf "connection %d went unanswered" (ok + overloaded + 1)
+  in
+  let ok, overloaded = open_more 599 0 0 in
+  check "most connections served" true (ok > 400);
+  check "connections past FD_SETSIZE refused" true (overloaded > 0);
+  check_str "the first connection still answers" "ok"
+    (Option.value ~default:"unanswered" (ask first (Protocol.ping_line ())));
+  if not (Conn.write_line first (Protocol.stats_line ())) then
+    Alcotest.fail "stats write failed";
+  match Option.map Jsonx.parse (read_line_within ~seconds:3. first) with
+  | Some (Ok stats) ->
+    check_int "stats reports the select limit" Limits.fd_setsize
+      (stat_int [ "fd_setsize" ] stats);
+    check_int "stats reports the connection cap" 0
+      (stat_int [ "max_connections" ] stats);
+    check_int "every refusal counted" overloaded
+      (stat_int [ "counters"; "error.overloaded" ] stats)
+  | _ -> Alcotest.fail "no stats response"
+
+(* Clients read without select too: a load generator with a thousand
+   connections holds descriptors past FD_SETSIZE in one process. *)
+let test_client_reader_past_fd_setsize () =
+  skip_without_descriptors (Limits.fd_setsize + 16);
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let dups = List.init (Limits.fd_setsize + 8) (fun _ -> Unix.dup a) in
+  Fun.protect ~finally:(fun () -> List.iter Unix.close (a :: b :: dups))
+  @@ fun () ->
+  (* Descriptors are allocated lowest first, so the last dup is numbered
+     at least FD_SETSIZE. *)
+  let high = List.nth dups (List.length dups - 1) in
+  check "line written" true (Conn.write_line b "pong");
+  match Conn.next_line (Conn.reader high) with
+  | `Line l -> check_str "line read" "pong" l
+  | `Eof | `Oversized -> Alcotest.fail "no line"
+
 let test_modsys_ops () =
   with_server ~workers:1 @@ fun _endpoint server ->
   let handle line = Server.handle server (`Line line) in
@@ -1262,9 +1382,9 @@ let test_oversized_mid_pipeline () =
   check_int "one oversized refusal" 1 (count "oversized")
 
 let test_oracle_engines_agree () =
-  (* The acceptance oracle: a 500-request seeded stream replayed
-     serially against the legacy engine and pipelined against the
-     sharded engine produces byte-identical responses per id. *)
+  (* The acceptance oracle: a 500-request seeded stream pipelined
+     against the sharded engine produces byte-identical responses per id
+     to sequential [Server.handle] calls. *)
   match Ifc_server.Oracle.run ~requests:500 () with
   | Error msg -> Alcotest.fail msg
   | Ok r ->
@@ -1272,9 +1392,9 @@ let test_oracle_engines_agree () =
     (match r.Ifc_server.Oracle.divergences with
     | [] -> ()
     | d :: _ ->
-      Alcotest.failf "engines diverged at id %d:\n  request %s\n  legacy  %s\n  sharded %s"
+      Alcotest.failf "engine diverged at id %d:\n  request   %s\n  reference %s\n  sharded   %s"
         d.Ifc_server.Oracle.id d.Ifc_server.Oracle.request
-        d.Ifc_server.Oracle.legacy d.Ifc_server.Oracle.sharded)
+        d.Ifc_server.Oracle.reference d.Ifc_server.Oracle.sharded)
 
 (* QCheck: on a pipelined connection, every request is answered exactly
    once with a response correlated to its id and carrying its op — no
@@ -1391,6 +1511,10 @@ let suite =
       quick "version gate exhaustive" test_version_gate_exhaustive;
       quick "modsys ops over the wire" test_modsys_ops;
       quick "FD_SETSIZE guard" test_fd_setsize_guard;
+      quick "zero shards rejected" test_zero_shards_rejected;
+      quick "connections past FD_SETSIZE are refused"
+        test_connections_past_fd_setsize;
+      quick "client reader past FD_SETSIZE" test_client_reader_past_fd_setsize;
       quick "pipelined responses out of order" test_pipelined_out_of_order;
       quick "serial clients stay ordered" test_serial_clients_stay_ordered;
       quick "backpressure refuses over max-inflight" test_backpressure_inflight_cap;

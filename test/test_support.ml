@@ -5,6 +5,7 @@ module Prng = Ifc_support.Prng
 module Listx = Ifc_support.Listx
 module Smap = Ifc_support.Smap
 module Sset = Ifc_support.Sset
+module Plant = Ifc_support.Plant
 
 let check = Alcotest.(check bool)
 
@@ -132,6 +133,48 @@ let test_sset_pp () =
   let s = Sset.of_list [ "b"; "a" ] in
   check "pp sorted" true (Fmt.str "%a" Sset.pp s = "{a, b}")
 
+(* ------------------------------------------------------------------ *)
+(* Plant registry *)
+
+let test_plant_parse () =
+  let contains hay needle =
+    let hl = String.length hay and nl = String.length needle in
+    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+    go 0
+  in
+  check "empty enables nothing" true (Plant.parse "" = Ok []);
+  check "registry order, deduplicated, blanks ignored" true
+    (Plant.parse " stall:250,refine-unsound,, inversion,dataflow-unsound,inversion"
+    = Ok [ Plant.Inversion; Dataflow_unsound; Refine_unsound; Stall 250 ]);
+  check "every fixed name, in registry order" true
+    (Plant.parse
+       "refine-unsound,dataflow-unsound,store-stale,chan-unsound,\
+        lint-unsound,cert-inversion,inversion"
+    = Ok
+        [
+          Plant.Inversion;
+          Cert_inversion;
+          Lint_unsound;
+          Chan_unsound;
+          Store_stale;
+          Dataflow_unsound;
+          Refine_unsound;
+        ]);
+  check_int "stall milliseconds" 250
+    (Plant.stall_ms (Result.get_ok (Plant.parse "inversion,stall:250")));
+  check_int "no stall" 0 (Plant.stall_ms (Result.get_ok (Plant.parse "inversion")));
+  List.iter
+    (fun bad ->
+      match Plant.parse bad with
+      | Ok _ -> Alcotest.failf "%S must be rejected" bad
+      | Error msg ->
+        List.iter
+          (fun name ->
+            check (Printf.sprintf "%S's error lists %s" bad name) true
+              (contains msg name))
+          Plant.names)
+    [ "inversoin"; "stall"; "stall:0"; "stall:-5"; "stall:abc"; "inversion,x" ]
+
 let suite =
   ( "support",
     [
@@ -152,4 +195,5 @@ let suite =
       Alcotest.test_case "listx transpose" `Quick test_listx_transpose;
       Alcotest.test_case "smap helpers" `Quick test_smap_helpers;
       Alcotest.test_case "sset pp" `Quick test_sset_pp;
+      Alcotest.test_case "plant registry parse" `Quick test_plant_parse;
     ] )
