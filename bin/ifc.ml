@@ -27,6 +27,7 @@ module Report = Ifc_core.Report
 module Proof = Ifc_logic.Proof
 module Check = Ifc_logic.Check
 module Invariance = Ifc_logic_gen.Invariance
+module Emit = Ifc_logic_gen.Emit
 module Scheduler = Ifc_exec.Scheduler
 module Explore = Ifc_exec.Explore
 module Taint = Ifc_exec.Taint
@@ -545,26 +546,19 @@ let write_file path text =
            Out_channel.output_string oc text))
   with Sys_error msg -> Error msg
 
-(* Build the Theorem-1 proof, serialize it, and refuse to hand out any
-   certificate the independent checker would not accept: the emitted
-   bytes are re-parsed and re-validated before they leave the process. *)
-let emit_certificate binding p =
-  match Invariance.witness binding p.Ast.body with
-  | Error errors -> Ok (Error errors)
-  | Ok proof -> (
-    let cert = Cert.of_proof ~binding ~program:p proof in
-    let text = Cert.to_string cert in
-    match Cert.parse text with
-    | Error e ->
-      Error (Fmt.str "emitted certificate does not re-parse: %a" Cert.pp_parse_error e)
-    | Ok parsed -> (
-      match Certcheck.check parsed p with
-      | Ok () -> Ok (Ok text)
-      | Error (f :: _) ->
-        Error
-          (Fmt.str "emitted certificate fails the independent checker: %a"
-             Certcheck.pp_failure f)
-      | Error [] -> Error "emitted certificate fails the independent checker"))
+(* Why [cert emit] or [prove --emit-cert] hands out no bytes. *)
+let emit_failure : Emit.check_failure -> string = function
+  | `Unparsable (_, e) ->
+    Fmt.str "emitted certificate does not re-parse: %a" Cert.pp_parse_error e
+  | `Rejected (f :: _) ->
+    Fmt.str "emitted certificate fails the independent checker: %a"
+      Certcheck.pp_failure f
+  | `Rejected [] -> "emitted certificate fails the independent checker"
+
+let write_certificate out text =
+  let* () = write_file out text in
+  Fmt.pr "certificate written to %s (%d bytes)@." out (String.length text);
+  Ok ()
 
 let run_prove lattice_name binding_file print_proof emit_cert path =
   exit_of_verdict
@@ -580,14 +574,9 @@ let run_prove lattice_name binding_file print_proof emit_cert path =
          match emit_cert with
          | None -> Ok ()
          | Some out -> (
-           match emit_certificate binding p with
-           | Error msg -> Error msg
-           | Ok (Error _) -> Error "proof found but certificate emission failed"
-           | Ok (Ok text) ->
-             let* () = write_file out text in
-             Fmt.pr "certificate written to %s (%d bytes)@." out
-               (String.length text);
-             Ok ())
+           match Emit.of_proof ~binding ~program:p proof with
+           | Ok (text, _) -> write_certificate out text
+           | Error failure -> Error (emit_failure failure))
        in
        Ok true
      | Error errors ->
@@ -621,22 +610,20 @@ let run_cert_emit lattice_name binding_file out path =
     (let* lat = load_lattice lattice_name in
      let* p = load_program path in
      let* binding = load_binding lat binding_file p in
-     let* outcome = emit_certificate binding p in
-     match outcome with
-     | Error errors ->
+     match Emit.certificate binding p with
+     | Error (`Not_certifiable errors) ->
        Fmt.pr "no certificate: program not certifiable:@.%a@."
          (Fmt.list ~sep:Fmt.cut Check.pp_error)
          errors;
        Ok false
-     | Ok text -> (
-       match out with
-       | None ->
-         print_string text;
-         Ok true
-       | Some out ->
-         let* () = write_file out text in
-         Fmt.pr "certificate written to %s (%d bytes)@." out (String.length text);
-         Ok true))
+     | Error (#Emit.check_failure as failure) -> Error (emit_failure failure)
+     | Ok (text, _) ->
+       let* () =
+         match out with
+         | None -> Ok (print_string text)
+         | Some out -> write_certificate out text
+       in
+       Ok true)
 
 (* Version-2 (linked) certificates route here: the program file is a
    linked unit and the checker replays summaries instead of proof

@@ -199,7 +199,9 @@ let planted ?high label middle forced =
 let leak = Ast.assign "y" (Ast.Var "x")
 
 (* The store-stale plant's middle statement: all-low, so the store entry
-   written with the flipped verdict is the only thing that is wrong. *)
+   written with the flipped verdict is the only thing that is wrong. No
+   other planted row may share its program, or with both plants on that
+   row would read the poisoned entry too. *)
 let store_stale_middle = Ast.assign "y" (Ast.Int 1)
 
 (* The planted cases of one plant. Each classifies as its inversion and
@@ -231,7 +233,7 @@ let rows_of_plant = function
   | Plant.Store_stale -> [ planted "planted-store" store_stale_middle honest ]
   | Plant.Dataflow_unsound ->
     [
-      planted "planted-prune" (Ast.assign "y" (Ast.Int 1))
+      planted "planted-prune" (Ast.assign "y" (Ast.Int 2))
         { honest with dataflow = Some `Prune };
       planted ~high:[ "x" ] "planted-witness" leak
         { honest with dataflow = Some `Witness };

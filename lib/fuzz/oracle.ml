@@ -6,6 +6,7 @@ module Cfm = Ifc_core.Cfm
 module Denning = Ifc_core.Denning
 module Fs = Ifc_core.Flow_sensitive
 module Invariance = Ifc_logic_gen.Invariance
+module Emit = Ifc_logic_gen.Emit
 module Ni = Ifc_exec.Noninterference
 module Explore = Ifc_exec.Explore
 module Step = Ifc_exec.Step
@@ -16,15 +17,6 @@ module Parser = Ifc_lang.Parser
 module Pretty = Ifc_lang.Pretty
 module Loc = Ifc_lang.Loc
 module Witness = Ifc_dataflow.Witness
-
-(* The certificate round-trip leg: serialize the proof, re-parse the
-   exact bytes, and run the independent checker. Any break anywhere in
-   that pipeline — emission, parsing, validation — is a cert inversion. *)
-let cert_round_trip binding (p : Ast.program) proof =
-  let cert = Ifc_cert.Cert.of_proof ~binding ~program:p proof in
-  match Ifc_cert.Cert.parse (Ifc_cert.Cert.to_string cert) with
-  | Error _ -> false
-  | Ok parsed -> Result.is_ok (Ifc_cert.Checker.check parsed p)
 
 (* Dynamic cross-check of the concurrency analyzer: two bounded
    explorations, one from the default all-zero store and one from a
@@ -82,13 +74,16 @@ let run ?override_cfm ?override_cert ?override_lint ?override_dataflow
   let fs = Fs.certified binding p.Ast.body in
   let witness = Invariance.witness binding p.Ast.body in
   let prove = Result.is_ok witness in
+  (* The certificate leg: render the prove leg's proof, re-parse the
+     exact bytes and run the independent checker. Any break anywhere in
+     that pipeline is a cert inversion. *)
   let cert_ok =
     match override_cert with
     | Some forced -> forced
     | None -> (
       match witness with
       | Error _ -> true
-      | Ok proof -> cert_round_trip binding p proof)
+      | Ok proof -> Result.is_ok (Emit.of_proof ~binding ~program:p proof))
   in
   let lat = Binding.lattice binding in
   let ni =

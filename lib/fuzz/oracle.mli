@@ -2,14 +2,15 @@
 
     Runs Denning (concurrency-ignoring), CFM, the flow-sensitive
     extension, the Theorem-1 logic decision, the certificate round-trip
-    (when a proof exists: serialize it, re-parse the bytes, validate with
-    the independent {!Ifc_cert.Checker}), the semantic noninterference
-    oracle (bounded exploration, termination-insensitive, observer at the
-    lattice bottom), the static concurrency analyzer
-    ({!Ifc_analysis.Analyze}), and two bounded explorations gathering the
-    dynamic evidence that cross-checks the analyzer's claims (one from
-    the all-zero store, one from a seed-derived store), and packs the
-    verdicts for {!Classify.classify}.
+    (when a proof exists, {!Ifc_logic_gen.Emit.of_proof}: serialize it,
+    re-parse the bytes, validate with the independent checker), the
+    semantic noninterference oracle (bounded exploration,
+    termination-insensitive, observer at the lattice bottom), the static
+    concurrency analyzer ({!Ifc_analysis.Analyze}), and two bounded
+    explorations gathering the dynamic evidence that cross-checks the
+    analyzer's claims (one from the all-zero store, one from a
+    seed-derived store), and packs the verdicts for
+    {!Classify.classify}.
 
     The noninterference oracle and the evidence explorations are seeded
     explicitly so a verdict tuple is a pure function of [(program,

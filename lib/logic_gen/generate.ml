@@ -39,121 +39,61 @@ let theorem1 ?l:l0 ?g:g0 binding stmt =
     if Assertion.equal lat p.Proof.pre pre then p
     else Proof.make ~pre ~stmt:p.Proof.stmt ~post:p.Proof.post (Proof.Consequence p)
   in
+  let with_lg e = Cexpr.Join (e, Cexpr.Join (Cexpr.Local, Cexpr.Global)) in
+  (* An assignment-like axiom {post[w <- rhs]} s {post} for every written
+     symbol [w], strengthened to {I, l, g}. A delaying statement (wait,
+     recv) also writes [global], and its post raises g by the class of
+     the symbol it may block on. *)
+  let axiom l g s ~writes ~rhs ?delay rule =
+    let g_out =
+      match delay with
+      | None -> g
+      | Some v -> lat.Lattice.join g (lat.Lattice.join l (Binding.sbind binding v))
+    in
+    let post = state l g_out in
+    let sigma sym =
+      match sym with
+      | Cexpr.S_cls v when List.mem v writes -> Some rhs
+      | Cexpr.S_global when Option.is_some delay -> Some rhs
+      | Cexpr.S_cls _ | Cexpr.S_local | Cexpr.S_global -> None
+    in
+    let axiom = Proof.make ~pre:(Assertion.subst sigma post) ~stmt:s ~post rule in
+    (strengthen_pre ~pre:(state l g) axiom, g_out)
+  in
   (* Returns the derivation of {I,l,g} s {I,l,g_out} and g_out. *)
   let rec gen l g (s : Ast.stmt) =
     match s.Ast.node with
     | Ast.Skip ->
       (Proof.make ~pre:(state l g) ~stmt:s ~post:(state l g) Proof.Axiom_skip, g)
     | Ast.Assign (x, e) ->
-      let post = state l g in
-      let rhs = Cexpr.Join (Cexpr.of_expr lat e, Cexpr.Join (Cexpr.Local, Cexpr.Global)) in
-      let sigma sym =
-        match sym with
-        | Cexpr.S_cls v when String.equal v x -> Some rhs
-        | Cexpr.S_cls _ | Cexpr.S_local | Cexpr.S_global -> None
-      in
-      let axiom =
-        Proof.make ~pre:(Assertion.subst sigma post) ~stmt:s ~post Proof.Axiom_assign
-      in
-      (strengthen_pre ~pre:(state l g) axiom, g)
+      axiom l g s ~writes:[ x ] ~rhs:(with_lg (Cexpr.of_expr lat e)) Proof.Axiom_assign
     | Ast.Declassify (x, _, cls) ->
-      let named =
-        match lat.Lattice.of_string cls with
-        | Ok c -> c
-        | Error _ -> lat.Lattice.top
-      in
-      let post = state l g in
-      let rhs =
-        Cexpr.Join (Cexpr.Const named, Cexpr.Join (Cexpr.Local, Cexpr.Global))
-      in
-      let sigma sym =
-        match sym with
-        | Cexpr.S_cls v when String.equal v x -> Some rhs
-        | Cexpr.S_cls _ | Cexpr.S_local | Cexpr.S_global -> None
-      in
-      let axiom =
-        Proof.make ~pre:(Assertion.subst sigma post) ~stmt:s ~post Proof.Axiom_assign
-      in
-      (strengthen_pre ~pre:(state l g) axiom, g)
+      let named = Result.value ~default:lat.Lattice.top (lat.Lattice.of_string cls) in
+      axiom l g s ~writes:[ x ] ~rhs:(with_lg (Cexpr.Const named)) Proof.Axiom_assign
     | Ast.Store (a, i, e) ->
       (* Weak update: the array keeps its old class, joined with the
          index, the stored expression and the certification variables. *)
-      let post = state l g in
       let written = Cexpr.Join (Cexpr.of_expr lat i, Cexpr.of_expr lat e) in
-      let rhs =
-        Cexpr.Join
-          (Cexpr.Cls a, Cexpr.Join (written, Cexpr.Join (Cexpr.Local, Cexpr.Global)))
-      in
-      let sigma sym =
-        match sym with
-        | Cexpr.S_cls v when String.equal v a -> Some rhs
-        | Cexpr.S_cls _ | Cexpr.S_local | Cexpr.S_global -> None
-      in
-      let axiom =
-        Proof.make ~pre:(Assertion.subst sigma post) ~stmt:s ~post Proof.Axiom_assign
-      in
-      (strengthen_pre ~pre:(state l g) axiom, g)
+      axiom l g s ~writes:[ a ]
+        ~rhs:(Cexpr.Join (Cexpr.Cls a, with_lg written))
+        Proof.Axiom_assign
     | Ast.Signal sem ->
-      let post = state l g in
-      let rhs = Cexpr.Join (Cexpr.Cls sem, Cexpr.Join (Cexpr.Local, Cexpr.Global)) in
-      let sigma sym =
-        match sym with
-        | Cexpr.S_cls v when String.equal v sem -> Some rhs
-        | Cexpr.S_cls _ | Cexpr.S_local | Cexpr.S_global -> None
-      in
-      let axiom =
-        Proof.make ~pre:(Assertion.subst sigma post) ~stmt:s ~post Proof.Axiom_signal
-      in
-      (strengthen_pre ~pre:(state l g) axiom, g)
+      axiom l g s ~writes:[ sem ] ~rhs:(with_lg (Cexpr.Cls sem)) Proof.Axiom_signal
     | Ast.Send (chan, e) ->
       (* Signal-shaped: the channel absorbs the payload (weak update —
          earlier messages persist) but produces no global flow. *)
-      let post = state l g in
-      let rhs =
-        Cexpr.Join
-          ( Cexpr.Cls chan,
-            Cexpr.Join (Cexpr.of_expr lat e, Cexpr.Join (Cexpr.Local, Cexpr.Global)) )
-      in
-      let sigma sym =
-        match sym with
-        | Cexpr.S_cls v when String.equal v chan -> Some rhs
-        | Cexpr.S_cls _ | Cexpr.S_local | Cexpr.S_global -> None
-      in
-      let axiom =
-        Proof.make ~pre:(Assertion.subst sigma post) ~stmt:s ~post Proof.Axiom_send
-      in
-      (strengthen_pre ~pre:(state l g) axiom, g)
+      axiom l g s ~writes:[ chan ]
+        ~rhs:(Cexpr.Join (Cexpr.Cls chan, with_lg (Cexpr.of_expr lat e)))
+        Proof.Axiom_send
     | Ast.Recv (chan, x) ->
       (* Wait-shaped plus a write: the conditional delay raises the
          global bound by the channel's class, and the delivered message
          lands in [x] (and refreshes the channel's symbol). *)
-      let g_out = lat.Lattice.join g (lat.Lattice.join l (Binding.sbind binding chan)) in
-      let post = state l g_out in
-      let rhs = Cexpr.Join (Cexpr.Cls chan, Cexpr.Join (Cexpr.Local, Cexpr.Global)) in
-      let sigma sym =
-        match sym with
-        | Cexpr.S_cls v when String.equal v chan || String.equal v x -> Some rhs
-        | Cexpr.S_global -> Some rhs
-        | Cexpr.S_cls _ | Cexpr.S_local -> None
-      in
-      let axiom =
-        Proof.make ~pre:(Assertion.subst sigma post) ~stmt:s ~post Proof.Axiom_recv
-      in
-      (strengthen_pre ~pre:(state l g) axiom, g_out)
+      axiom l g s ~writes:[ chan; x ] ~rhs:(with_lg (Cexpr.Cls chan)) ~delay:chan
+        Proof.Axiom_recv
     | Ast.Wait sem ->
-      let g_out = lat.Lattice.join g (lat.Lattice.join l (Binding.sbind binding sem)) in
-      let post = state l g_out in
-      let rhs = Cexpr.Join (Cexpr.Cls sem, Cexpr.Join (Cexpr.Local, Cexpr.Global)) in
-      let sigma sym =
-        match sym with
-        | Cexpr.S_cls v when String.equal v sem -> Some rhs
-        | Cexpr.S_global -> Some rhs
-        | Cexpr.S_cls _ | Cexpr.S_local -> None
-      in
-      let axiom =
-        Proof.make ~pre:(Assertion.subst sigma post) ~stmt:s ~post Proof.Axiom_wait
-      in
-      (strengthen_pre ~pre:(state l g) axiom, g_out)
+      axiom l g s ~writes:[ sem ] ~rhs:(with_lg (Cexpr.Cls sem)) ~delay:sem
+        Proof.Axiom_wait
     | Ast.If (cond, s1, s2) ->
       let e_class = Binding.expr_class binding cond in
       let l' = lat.Lattice.join l e_class in

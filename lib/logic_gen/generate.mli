@@ -12,11 +12,12 @@
     The construction is *optimistic*: it never consults [cert(S)]. When
     [S] is not certified w.r.t. the binding, the construction still
     returns a derivation — but one whose consequence entailments are
-    false, so {!Check.check} rejects it. The paper's Theorems 1 and 2
-    together say exactly that [Check.check (generate b s)] succeeds iff
-    [Cfm.certified b s]; the property suite tests this equivalence on
+    false, so {!Ifc_logic.Check.check} rejects it. The paper's Theorems 1
+    and 2 together say exactly that [Check.check (theorem1 b s)] succeeds
+    iff [Cfm.certified b s]; the property suite tests this equivalence on
     random programs, which validates both implementations against each
-    other. *)
+    other. {!Emit} renders a certified program's derivation without
+    [Check.check]: the independent certificate checker is its one check. *)
 
 val theorem1 :
   ?l:'a ->

@@ -3,15 +3,15 @@
 module Binding = Ifc_core.Binding
 module Check = Ifc_logic.Check
 
-let decide_at ?entailer ~l ~g binding stmt =
+let decide_at ~l ~g binding stmt =
   let lat = Binding.lattice binding in
   let proof = Generate.theorem1 ~l ~g binding stmt in
-  Check.valid ?entailer lat proof
+  Check.valid lat proof
 
-let decide ?entailer binding stmt =
+let decide binding stmt =
   let lat = Binding.lattice binding in
-  decide_at ?entailer ~l:lat.Ifc_lattice.Lattice.bottom
-    ~g:lat.Ifc_lattice.Lattice.bottom binding stmt
+  decide_at ~l:lat.Ifc_lattice.Lattice.bottom ~g:lat.Ifc_lattice.Lattice.bottom
+    binding stmt
 
 let witness binding stmt =
   let lat = Binding.lattice binding in

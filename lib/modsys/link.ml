@@ -11,7 +11,7 @@ module Binding = Ifc_core.Binding
 module Cfm = Ifc_core.Cfm
 module Cert = Ifc_cert.Cert
 module Linked = Ifc_cert.Linked
-module Invariance = Ifc_logic_gen.Invariance
+module Emit = Ifc_logic_gen.Emit
 module Store = Ifc_store.Store
 module Sset = Ifc_support.Sset
 
@@ -166,7 +166,7 @@ let certify ?store ~lattice ?default (l : Ast.linked) =
             binding = bind;
           }))
 
-let emit ?(with_components = true) ~lattice ?default (l : Ast.linked) outcome =
+let emit ~lattice ?default (l : Ast.linked) outcome =
   if not outcome.ok then
     Error
       ("linked unit does not certify: "
@@ -179,40 +179,36 @@ let emit ?(with_components = true) ~lattice ?default (l : Ast.linked) outcome =
       |> List.map (fun v -> (v, to_s (Binding.sbind bind v)))
     in
     (* Component certificates: a version-1 proof of each module's
-       import-closed body, when one exists (a module may certify only in
-       its linked context — then the summary stands alone and its cert
-       field stays "-"). *)
+       import-closed body, when CFM certifies it (a module may certify
+       only in its linked context — then the summary stands alone and its
+       cert field stays "-"). The self-check below checks them. *)
     let components, summaries =
-      if not with_components then ([], outcome.summaries)
-      else
-        List.fold_left2
-          (fun (comps, sums) (m : Ast.module_unit) (s : Linked.summary) ->
-            let keep () = (comps, s :: sums) in
-            let cp = Linked.closed_program m in
-            match Binding.of_program lattice ?default cp with
-            | Error _ -> keep ()
-            | Ok cb ->
-              if not (Cfm.certified cb cp.Ast.body) then keep ()
-              else (
-                match Invariance.witness cb cp.Ast.body with
-                | Error _ -> keep ()
-                | Ok proof ->
-                  let text =
-                    Cert.to_string (Cert.of_proof ~binding:cb ~program:cp proof)
-                  in
-                  let digest = Digest.to_hex (Digest.string text) in
-                  ( (s.Linked.m_name, text) :: comps,
-                    { s with Linked.cert_digest = Some digest } :: sums )))
-          ([], []) l.Ast.modules outcome.summaries
-        |> fun (comps, sums) -> (List.rev comps, List.rev sums)
+      List.fold_left2
+        (fun (comps, sums) (m : Ast.module_unit) (s : Linked.summary) ->
+          let keep () = (comps, s :: sums) in
+          let cp = Linked.closed_program m in
+          match Binding.of_program lattice ?default cp with
+          | Error _ -> keep ()
+          | Ok cb -> (
+            match Emit.derivation cb cp with
+            | None -> keep ()
+            | Some proof ->
+              let text =
+                Cert.to_string (Cert.of_proof ~binding:cb ~program:cp proof)
+              in
+              let digest = Digest.to_hex (Digest.string text) in
+              ( (s.Linked.m_name, text) :: comps,
+                { s with Linked.cert_digest = Some digest } :: sums )))
+        ([], []) l.Ast.modules outcome.summaries
+      |> fun (comps, sums) -> (List.rev comps, List.rev sums)
     in
     let main_cert =
       match Linked.main_program ~binds l with
       | None -> Ok None
       | Some mp -> (
-        match Invariance.witness bind mp.Ast.body with
-        | Ok proof -> Ok (Some (Cert.of_proof ~binding:bind ~program:mp proof))
-        | Error _ -> Error "main program admits no invariant proof")
+        match Emit.derivation bind mp with
+        | Some proof -> Ok (Some (Cert.of_proof ~binding:bind ~program:mp proof))
+        | None -> Error "main program admits no invariant proof")
     in
     Result.bind main_cert (fun main_cert ->
         let cert =

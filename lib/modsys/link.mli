@@ -16,8 +16,8 @@
     CFM on the {!elaborate}d unit — the decomposition into atoms loses
     nothing — which the round-trip tests and CI byte-compare. [emit]
     packages the result as an [ifc-cert 2] certificate
-    ({!Ifc_cert.Linked}) with optional per-module component
-    certificates, self-checked before being returned. *)
+    ({!Ifc_cert.Linked}) with per-module component certificates,
+    self-checked before being returned. *)
 
 module Lattice := Ifc_lattice.Lattice
 module Linked := Ifc_cert.Linked
@@ -60,7 +60,6 @@ val certify :
     outcome. *)
 
 val emit :
-  ?with_components:bool ->
   lattice:string Lattice.t ->
   ?default:string ->
   Ifc_lang.Ast.linked ->
@@ -69,11 +68,11 @@ val emit :
 (** [emit ~lattice l o] serializes [o] — {!certify}'s outcome for [l]
     under the same [lattice] and [default] — as an [ifc-cert 2]
     certificate, returning its text plus [(module name, component
-    certificate text)] for every module whose import-closed body admits
-    a version-1 certificate ([~with_components:false] skips those). The
-    linked certificate is parsed back and re-checked with
-    {!Ifc_cert.Linked.check} (components included) before being
-    returned; an outcome that does not certify is an [Error]. *)
+    certificate text)] for every module whose import-closed body CFM
+    certifies. Their one check is the self-check before it returns: the
+    linked certificate is parsed back and {!Ifc_cert.Linked.check} runs
+    the independent checker on the main proof and on every component. An
+    outcome that does not certify is an [Error]. *)
 
 val job_analysis :
   ?store:Store.t ->

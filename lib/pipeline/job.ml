@@ -8,6 +8,7 @@ module Binding = Ifc_core.Binding
 module Cfm = Ifc_core.Cfm
 module Denning = Ifc_core.Denning
 module Invariance = Ifc_logic_gen.Invariance
+module Emit = Ifc_logic_gen.Emit
 module Proof = Ifc_logic.Proof
 module Ni = Ifc_exec.Noninterference
 
@@ -104,23 +105,13 @@ type result = {
   from_cache : bool;
 }
 
-(* Emit a certificate for the program and re-validate it through the
-   independent checker (serialize, re-parse, re-check): the verdict is
-   true only when the checker accepts the exact bytes that would be
-   handed out, and those bytes ride along as the artifact — so
-   digest-keyed cache entries carry the certificate itself. *)
-let run_cert binding program =
-  match Invariance.witness binding program.Ast.body with
-  | Error errors -> (false, List.length errors, None)
-  | Ok proof -> (
-    let cert = Ifc_cert.Cert.of_proof ~binding ~program proof in
-    let text = Ifc_cert.Cert.to_string cert in
-    match Ifc_cert.Cert.parse text with
-    | Error _ -> (false, Proof.size proof, None)
-    | Ok parsed -> (
-      match Ifc_cert.Checker.check parsed program with
-      | Ok () -> (true, Ifc_cert.Cert.node_count parsed, Some text)
-      | Error failures -> (false, List.length failures, None)))
+(* The certificate rides along as the artifact, so digest-keyed cache
+   entries carry the certificate itself. *)
+let cert_outcome = function
+  | Ok (text, parsed) -> (true, Ifc_cert.Cert.node_count parsed, Some text)
+  | Error (`Not_certifiable errors) -> (false, List.length errors, None)
+  | Error (`Unparsable (proof_size, _)) -> (false, proof_size, None)
+  | Error (`Rejected failures) -> (false, List.length failures, None)
 
 (* The concurrency analyzer. The verdict is "no findings"; the full
    findings list and the safety claims ride along as a JSON artifact, so
@@ -224,7 +215,7 @@ let run_analysis spec analysis =
       match Invariance.witness spec.binding spec.program.Ast.body with
       | Ok proof -> (true, Proof.size proof, None)
       | Error errors -> (false, List.length errors, None))
-    | Cert -> run_cert spec.binding spec.program
+    | Cert -> cert_outcome (Emit.certificate spec.binding spec.program)
     | Ni { pairs; max_states } ->
       let r =
         Ni.test ~pairs ~max_states ~observer:spec.lattice.Lattice.bottom

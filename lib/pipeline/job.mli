@@ -15,14 +15,13 @@ type analysis =
   | Denning  (** The Denning & Denning baseline, concurrency ignored. *)
   | Cfm  (** The paper's Concurrent Flow Mechanism. *)
   | Prove
-      (** Theorem-1 proof generation plus the independent checker
-          ({!Ifc_logic_gen.Invariance.witness}). *)
+      (** The flow-logic decision: Theorem-1 proof generation plus the
+          proof checker ({!Ifc_logic_gen.Invariance.witness}). *)
   | Cert
-      (** Certificate emission with an independent re-check: build the
-          Theorem-1 proof, serialize it ({!Ifc_cert.Cert}), re-parse the
-          bytes and validate them with {!Ifc_cert.Checker.check}. The
-          verdict is [true] only when the checker accepts; the certificate
-          text becomes the result's [artifact]. *)
+      (** Certificate emission ({!Ifc_logic_gen.Emit.certificate}), read
+          by {!cert_outcome}. The verdict is [true] only when the
+          independent checker accepts the bytes; the certificate text
+          becomes the result's [artifact]. *)
   | Ni of { pairs : int; max_states : int }
       (** Empirical noninterference with bounded exploration; observer is
           the lattice bottom. *)
@@ -130,6 +129,16 @@ val lint_report_json :
     byte-identical JSON to the cached artifact and the serve protocol's
     ["report"] object: [{findings; claims; stats}], each finding with
     [kind], [severity], [span], [message], and [related] when present. *)
+
+val cert_outcome :
+  ( string * Ifc_cert.Cert.t,
+    [< Ifc_logic_gen.Emit.check_failure
+    | `Not_certifiable of Ifc_logic.Check.error list ] )
+  Stdlib.result ->
+  bool * int * string option
+(** A [Cert] job's verdict, count and artifact: the certificate's nodes
+    and text, or the flow-logic errors, the proof's size (bytes that do
+    not re-parse) or the checker's failures, with no artifact. *)
 
 val run : ?digest:string -> spec -> result
 (** Executes the analyses in order, timing each. Any exception an

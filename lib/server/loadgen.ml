@@ -102,7 +102,10 @@ let record_code shared code =
 
 (* One client's whole conversation. [pending] maps in-flight ids to
    their send timestamps; a response for an unknown id, an unparseable
-   line, or early EOF counts as a protocol error. *)
+   line, or early EOF counts as a protocol error. A connection refused
+   at accept gets a null-id [overloaded] line and is closed unread, so
+   a failed write, that line or EOF before any response is one connect
+   error instead. *)
 let client_loop cfg shared client_index =
   match Client.connect ~retry_for:cfg.retry_for cfg.endpoint with
   | Error _ ->
@@ -114,6 +117,11 @@ let client_loop cfg shared client_index =
     let ops = Array.of_list (if cfg.ops = [] then [ Check ] else cfg.ops) in
     let pending : (int, int64) Hashtbl.t = Hashtbl.create 16 in
     let sent = ref 0 and received = ref 0 and dead = ref false in
+    let refused = ref false in
+    let refuse () =
+      refused := true;
+      dead := true
+    in
     let ok = ref 0 and failed = ref 0 and proto = ref 0 in
     let codes = Hashtbl.create 8 in
     let bump tbl code =
@@ -131,6 +139,7 @@ let client_loop cfg shared client_index =
         Hashtbl.replace pending id (J.now_ns ());
         incr sent
       end
+      else if !received = 0 then refuse ()
       else dead := true
     in
     let recv_one () =
@@ -141,7 +150,10 @@ let client_loop cfg shared client_index =
         | Error _ -> incr proto
         | Ok json -> (
           match Option.bind (Jsonx.member "id" json) Jsonx.int_opt with
-          | None -> incr proto
+          | None -> (
+            match Protocol.response_error json with
+            | Some ("overloaded", _) when !received = 1 -> refuse ()
+            | _ -> incr proto)
           | Some id -> (
             match Hashtbl.find_opt pending id with
             | None -> incr proto
@@ -159,6 +171,7 @@ let client_loop cfg shared client_index =
                   | Some (code, _) -> code
                   | None -> "unknown")
               end)))
+      | `Eof when !received = 0 -> refuse ()
       | `Eof | `Oversized ->
         if !received < !sent then incr proto;
         dead := true
@@ -173,6 +186,7 @@ let client_loop cfg shared client_index =
       if not !dead then recv_one ()
     done;
     with_lock shared.mutex (fun () ->
+        if !refused then shared.s_connect_errors <- shared.s_connect_errors + 1;
         shared.s_ok <- shared.s_ok + !ok;
         shared.s_failed <- shared.s_failed + !failed;
         shared.s_protocol_errors <- shared.s_protocol_errors + !proto;

@@ -43,6 +43,8 @@ type report = {
       (** Unparseable responses, unknown correlation ids, or
           connections dropped with requests still in flight. *)
   connect_errors : int;
+      (** Clients that could not connect or were refused at accept, one
+          each. *)
   duration_s : float;
   throughput_rps : float;  (** Completed responses per second. *)
   codes : (string * int) list;

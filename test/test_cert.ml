@@ -1,7 +1,8 @@
 (* Tests for the proof-certificate subsystem: canonical round-trips,
    parser robustness on mutated input, tamper rejection with node paths,
-   generator/checker agreement on random programs, and emit-and-check
-   coverage of the paper programs and the persisted fuzz corpus. *)
+   generator/checker agreement on random programs, emit-and-check
+   coverage of the paper programs and the persisted fuzz corpus, and the
+   emitter against the witness-then-render sequence it replaced. *)
 
 module Ast = Ifc_lang.Ast
 module Parser = Ifc_lang.Parser
@@ -11,6 +12,10 @@ module Paper = Ifc_core.Paper
 module Chain = Ifc_lattice.Chain
 module Lattice = Ifc_lattice.Lattice
 module Invariance = Ifc_logic_gen.Invariance
+module Emit = Ifc_logic_gen.Emit
+module Cfm = Ifc_core.Cfm
+module Check = Ifc_logic.Check
+module Job = Ifc_pipeline.Job
 module Cert = Ifc_cert.Cert
 module Checker = Ifc_cert.Checker
 module Corpus = Ifc_fuzz.Corpus
@@ -420,6 +425,64 @@ let test_corpus_provable_entries_certify () =
           e.Corpus.program)
       provable
 
+(* ------------------------------------------------------------------ *)
+(* The emitter *)
+
+(* The sequence every caller ran before the emitter, kept as its
+   reference: the checked witness (Generate plus Logic.Check), then
+   render. *)
+let reference_emit binding (program : Ast.program) =
+  match Invariance.witness binding program.Ast.body with
+  | Error _ -> None
+  | Ok proof -> Some (Cert.to_string (Cert.of_proof ~binding ~program proof))
+
+let emit_matches_reference (name, lattice) =
+  qtest ~count:150
+    ("emitter succeeds iff CFM certifies, with the reference bytes, on " ^ name)
+    (Qcheck_arbitrary.bound_program ~max_size:12 lattice)
+    (fun bp ->
+      let program = bp.Qcheck_arbitrary.prog in
+      let binding = Qcheck_arbitrary.binding_of bp in
+      let certified = Cfm.certified binding program.Ast.body in
+      match (Emit.certificate binding program, reference_emit binding program) with
+      | Ok (text, _), Some reference -> certified && String.equal text reference
+      | Error (`Not_certifiable _), None -> not certified
+      | _ -> false)
+
+let test_emit_not_certifiable_errors () =
+  (* Figure 3 with x high leaks into y: the emitter reports exactly the
+     errors of the flow-logic witness. *)
+  let binding = Binding.make two ~default:"low" [ ("x", "high") ] in
+  let show errors = Fmt.str "%a" (Fmt.list ~sep:Fmt.cut Check.pp_error) errors in
+  match
+    (Emit.certificate binding Paper.fig3, Invariance.witness binding Paper.fig3.Ast.body)
+  with
+  | Error (`Not_certifiable errors), Error reference ->
+    check "errors reported" true (errors <> []);
+    check_string "the witness's errors" (show reference) (show errors)
+  | _ -> Alcotest.fail "fig3 under a high x must not certify"
+
+let test_emit_rejects_foreign_derivation () =
+  (* The derivation of another program, rendered for sec52: the
+     independent checker refuses the bytes, and a cert job reading that
+     outcome answers fail with no artifact. *)
+  let binding = all_low sec52 in
+  let other = parse_program_exn "var x, y : integer;\nbegin y := x end" in
+  let proof =
+    match Emit.derivation binding other with
+    | Some proof -> proof
+    | None -> Alcotest.fail "the other program certifies at the all-low binding"
+  in
+  match Emit.of_proof ~binding ~program:sec52 proof with
+  | Error (`Rejected (_ :: _ as failures)) as outcome ->
+    let verdict, checks, artifact = Job.cert_outcome outcome in
+    check "job fails" false verdict;
+    check_int "job counts the checker's failures" (List.length failures) checks;
+    check "no artifact" true (Option.is_none artifact)
+  | Error (`Rejected []) -> Alcotest.fail "rejected with no failures"
+  | Error (`Unparsable _) -> Alcotest.fail "rendered bytes must re-parse"
+  | Ok _ -> Alcotest.fail "a foreign derivation must not check"
+
 let suite =
   ( "cert",
     [
@@ -449,4 +512,10 @@ let suite =
         test_paper_programs_certify;
       Alcotest.test_case "corpus provable entries emit-and-check" `Quick
         test_corpus_provable_entries_certify;
+      emit_matches_reference ("two", two);
+      emit_matches_reference ("mls", Option.get (Ifc_lattice.Builtin.find "mls"));
+      Alcotest.test_case "emitter: not-certifiable errors" `Quick
+        test_emit_not_certifiable_errors;
+      Alcotest.test_case "emitter: foreign derivation rejected" `Quick
+        test_emit_rejects_foreign_derivation;
     ] )

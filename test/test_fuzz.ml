@@ -745,6 +745,39 @@ let test_planted_dataflow_unsound_end_to_end () =
     Alcotest.failf "expected exactly two counterexamples, got %d"
       (List.length cs)
 
+let test_all_plants_keep_their_classes () =
+  (* With every fuzz plant on, each planted case lands on its own class:
+     the prune case's program differs from the store-stale case's, so it
+     cannot read the poisoned store entry. *)
+  let config =
+    {
+      Campaign.default with
+      Campaign.cases = 0;
+      seed = 3;
+      jobs = 1;
+      plants =
+        Plant.
+          [
+            Inversion;
+            Cert_inversion;
+            Lint_unsound;
+            Chan_unsound;
+            Store_stale;
+            Dataflow_unsound;
+            Refine_unsound;
+          ];
+      store_dir = Some (fresh_dir ());
+    }
+  in
+  let s = Campaign.run config in
+  let count label =
+    Option.value ~default:0 (List.assoc_opt label s.Campaign.class_counts)
+  in
+  check_int "eight planted cases" 8 s.Campaign.completed;
+  check_int "one store-stale" 1 (count "store-stale");
+  check_int "one prune-unsound" 1 (count "prune-unsound");
+  check_int "one witness-bogus" 1 (count "witness-bogus")
+
 let test_store_replay_round_trip () =
   let store = fresh_dir () in
   let config =
@@ -801,4 +834,6 @@ let suite =
         test_campaign_worker_count_determinism;
       Alcotest.test_case "healthy campaign clean" `Quick
         test_campaign_healthy_run_is_clean;
+      Alcotest.test_case "all plants keep their classes" `Quick
+        test_all_plants_keep_their_classes;
     ] )

@@ -23,6 +23,7 @@ module Conn = Ifc_server.Conn
 module Limits = Ifc_server.Limits
 module Server = Ifc_server.Server
 module Client = Ifc_server.Client
+module Loadgen = Ifc_server.Loadgen
 
 let check = Alcotest.(check bool)
 
@@ -397,6 +398,11 @@ let slow_check ?deadline_ms client =
     ~analyses:[ "ni" ] ~ni_pairs:1 ~ni_max_states:10_000_000 ?deadline_ms
     slow_program
 
+(* The same slow check as one raw pipelined request line. *)
+let slow_check_line ~id =
+  Protocol.check_line ~id:(J.Int id) ~name:"slow" ~binding:slow_binding
+    ~analyses:[ "ni" ] ~ni_pairs:1 ~ni_max_states:10_000_000 slow_program
+
 let response_code response =
   match Protocol.response_error response with
   | Some (code, _) -> code
@@ -411,6 +417,39 @@ let stat_int path response =
       | None -> -1)
   in
   walk response ("stats" :: path)
+
+(* Raw pipelined conversation: write every line up front, then read
+   response lines in arrival order. *)
+let write_lines client lines =
+  List.iter
+    (fun line ->
+      if not (Conn.write_line (Client.fd client) line) then
+        Alcotest.fail "pipelined write failed")
+    lines
+
+let next_response client =
+  match Conn.next_line (Client.reader client) with
+  | `Line l -> l
+  | `Eof -> Alcotest.fail "connection closed mid-pipeline"
+  | `Oversized -> Alcotest.fail "oversized response"
+
+let pipelined_exchange endpoint lines n =
+  fail_result
+    (Client.with_client ~retry_for:5. endpoint (fun client ->
+         write_lines client lines;
+         Ok (List.init n (fun _ -> next_response client))))
+
+let response_id line =
+  match Jsonx.parse line with
+  | Ok json ->
+    Option.value ~default:(-1)
+      (Option.bind (Jsonx.member "id" json) Jsonx.int_opt)
+  | Error _ -> -1
+
+let response_code_of_line line =
+  match Jsonx.parse line with
+  | Ok json -> response_code json
+  | Error _ -> "unparseable"
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent clients get exactly the sequential verdicts. *)
@@ -510,18 +549,22 @@ let test_timeout_spares_other_requests () =
 
 let test_expired_queued_job_is_cancelled () =
   (* One worker: a slow job occupies it, so a short-deadline request
-     expires while still queued and the pool skips it entirely. *)
+     expires while still queued and the pool skips it entirely. Both go
+     pipelined on one connection, slow first: the shard dispatches them
+     in arrival order and the pool is FIFO, so the slow job is ahead of
+     the quick one by construction, not by a sleep. *)
   with_server ~workers:1 @@ fun endpoint _server ->
-  let slow_thread =
-    Thread.create
-      (fun () -> with_conn endpoint (fun client -> slow_check client)) ()
+  let responses =
+    pipelined_exchange endpoint
+      [
+        slow_check_line ~id:1;
+        Protocol.check_line ~id:(J.Int 2) ~deadline_ms:5 quick_program;
+      ]
+      2
   in
-  Thread.delay 0.03;
-  with_conn endpoint (fun client ->
-      let response = fail_result (Client.check client ~deadline_ms:5 quick_program) in
-      check_str "queued request timed out" "timeout" (response_code response);
-      Ok ());
-  Thread.join slow_thread;
+  let by_id id = List.find (fun line -> response_id line = id) responses in
+  check_str "slow request completes" "ok" (response_code_of_line (by_id 1));
+  check_str "queued request timed out" "timeout" (response_code_of_line (by_id 2));
   (* The worker increments jobs.cancelled when it dequeues the expired
      task, which can land just after the slow response is delivered —
      poll briefly rather than race it. *)
@@ -730,26 +773,24 @@ let test_sigterm_drains_in_flight () =
       try Sys.remove sock with Sys_error _ -> ())
   @@ fun () ->
   let run_thread = Thread.create Server.run server in
-  let slow_response = ref None in
-  let slow_thread =
-    Thread.create
-      (fun () ->
-        with_conn (Conn.Unix_socket sock) (fun client ->
-            slow_response := Some (fail_result (slow_check client));
-            Ok ()))
-      ()
+  (* The slow request goes pipelined with a ping behind it. The shard
+     handles a connection's lines in order and answers the ping at once,
+     so when the ping's response arrives the slow request is in flight:
+     only then TERM ourselves. *)
+  let slow_response =
+    fail_result
+      (Client.with_client ~retry_for:5. (Conn.Unix_socket sock) (fun client ->
+           write_lines client
+             [ slow_check_line ~id:1; Protocol.ping_line ~id:(J.Int 2) () ];
+           check_int "the ping answers first" 2 (response_id (next_response client));
+           Unix.kill (Unix.getpid ()) Sys.sigterm;
+           Ok (next_response client)))
   in
-  (* Let the slow request get in flight, then TERM ourselves. *)
-  Thread.delay 0.03;
-  Unix.kill (Unix.getpid ()) Sys.sigterm;
   Thread.join run_thread;
   check "run returned after SIGTERM" true (Server.stopped server);
-  Thread.join slow_thread;
-  (match !slow_response with
-  | Some response ->
-    check "in-flight request drained, not dropped" true
-      (Protocol.response_ok response)
-  | None -> Alcotest.fail "slow request got no response");
+  check_int "the slow request answers second" 1 (response_id slow_response);
+  check_str "in-flight request drained, not dropped" "ok"
+    (response_code_of_line slow_response);
   (* The drained server is really gone: new connections fail. *)
   check "socket closed after drain" true
     (match Client.connect (Conn.Unix_socket sock) with
@@ -820,39 +861,6 @@ let test_stats_and_warm_cache () =
 let with_stall ms f =
   Unix.putenv "IFC_PLANT" (Printf.sprintf "stall:%d" ms);
   Fun.protect ~finally:(fun () -> Unix.putenv "IFC_PLANT" "") f
-
-(* Raw pipelined conversation: write every line up front, then collect
-   [n] response lines in arrival order. *)
-let pipelined_exchange endpoint lines n =
-  fail_result
-    (Client.with_client ~retry_for:5. endpoint (fun client ->
-         let fd = Client.fd client and reader = Client.reader client in
-         List.iter
-           (fun line ->
-             if not (Conn.write_line fd line) then
-               Alcotest.fail "pipelined write failed")
-           lines;
-         let rec collect acc k =
-           if k = 0 then Ok (List.rev acc)
-           else
-             match Conn.next_line reader with
-             | `Line l -> collect (l :: acc) (k - 1)
-             | `Eof -> Alcotest.fail "connection closed mid-pipeline"
-             | `Oversized -> Alcotest.fail "oversized response"
-         in
-         collect [] n))
-
-let response_id line =
-  match Jsonx.parse line with
-  | Ok json ->
-    Option.value ~default:(-1)
-      (Option.bind (Jsonx.member "id" json) Jsonx.int_opt)
-  | Error _ -> -1
-
-let response_code_of_line line =
-  match Jsonx.parse line with
-  | Ok json -> response_code json
-  | Error _ -> "unparseable"
 
 (* A check request for a program no other test submits, so its first
    submission is always a cache miss. *)
@@ -1381,6 +1389,33 @@ let test_oversized_mid_pipeline () =
   check_int "two pings ok" 2 (count "ok");
   check_int "one oversized refusal" 1 (count "oversized")
 
+let test_loadgen_counts_refused_connections () =
+  (* One connection slot, held by whichever client gets it first for as
+     long as its stalled requests take, so the other clients are refused
+     at accept. Each client either completes all its requests or is
+     counted once as a connect error; a refusal is never a protocol
+     error. *)
+  with_stall 30 @@ fun () ->
+  with_server ~workers:1
+    ~limits:{ Limits.default with Limits.max_connections = 1 }
+  @@ fun endpoint _server ->
+  let clients = 4 and requests = 3 in
+  let r =
+    Loadgen.run
+      {
+        (Loadgen.default_config endpoint) with
+        Loadgen.clients;
+        window = 1;
+        requests;
+        name = "stall-refused";
+      }
+  in
+  check_int "no protocol errors" 0 r.Loadgen.protocol_errors;
+  check "some client was refused" true (r.Loadgen.connect_errors >= 1);
+  check_int "every client completes or is one connect error"
+    (clients * requests)
+    (r.Loadgen.ok + r.Loadgen.failed + (requests * r.Loadgen.connect_errors))
+
 let test_oracle_engines_agree () =
   (* The acceptance oracle: a 500-request seeded stream pipelined
      against the sharded engine produces byte-identical responses per id
@@ -1421,7 +1456,7 @@ let pipelined_framing_test ~shards =
             Printf.sprintf {|{"v": 4, "id": %d, "op": "%s", "program": %s}|} i
               (op_name op)
               (J.json_to_string
-                 (J.String (Ifc_server.Loadgen.program_variant variant)))
+                 (J.String (Loadgen.program_variant variant)))
         in
         let requests = List.mapi line ops in
         (* Window-limited send interleaved with reads, like a real
@@ -1525,4 +1560,6 @@ let suite =
       pipelined_framing_test ~shards:1;
       pipelined_framing_test ~shards:2;
       pipelined_framing_test ~shards:4;
+      quick "loadgen counts refused connections once"
+        test_loadgen_counts_refused_connections;
     ] )
