@@ -958,7 +958,12 @@ let cert_bench ~corpus () =
          Cert.to_string (Cert.of_proof ~binding ~program proof)));
   row "parse" (per_item texts (fun (_, text) -> Cert.parse text));
   row "check" (per_item parsed (fun (p, c) -> Checker.check c p));
-  row "emit" (per_item set (fun (b, p) -> ok (Ifc_logic_gen.Emit.certificate b p)));
+  row "emit"
+    (per_item set (fun (b, p) ->
+         ok
+           (Ifc_logic_gen.Emit.certificate
+              ~witness:(lazy (Invariance.witness b p.Ast.body))
+              b p)));
   List.iter
     (fun (name, l) ->
       let text = Ifc_lattice.Spec.to_text l in

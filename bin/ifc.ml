@@ -610,7 +610,9 @@ let run_cert_emit lattice_name binding_file out path =
     (let* lat = load_lattice lattice_name in
      let* p = load_program path in
      let* binding = load_binding lat binding_file p in
-     match Emit.certificate binding p with
+     match
+       Emit.certificate ~witness:(lazy (Invariance.witness binding p.Ast.body)) binding p
+     with
      | Error (`Not_certifiable errors) ->
        Fmt.pr "no certificate: program not certifiable:@.%a@."
          (Fmt.list ~sep:Fmt.cut Check.pp_error)

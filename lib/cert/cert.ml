@@ -114,19 +114,23 @@ let spec_lines lat =
   |> List.map String.trim
   |> List.filter (fun l -> l <> "")
 
+let line buf fmt =
+  Printf.ksprintf
+    (fun s ->
+      Buffer.add_string buf s;
+      Buffer.add_char buf '\n')
+    fmt
+
+let write_header buf ~version ~label ~digest lattice binds =
+  line buf "ifc-cert %d" version;
+  line buf "%s: %s" label digest;
+  List.iter (line buf "lattice: %s") (spec_lines lattice);
+  List.iter (fun (v, cls) -> line buf "bind: %s = %s" v cls) binds
+
 let to_string (c : t) =
   let buf = Buffer.create 1024 in
-  let line fmt =
-    Printf.ksprintf
-      (fun s ->
-        Buffer.add_string buf s;
-        Buffer.add_char buf '\n')
-      fmt
-  in
-  line "ifc-cert %d" version;
-  line "program: %s" c.program_digest;
-  List.iter (fun l -> line "lattice: %s" l) (spec_lines c.lattice);
-  List.iter (fun (v, cls) -> line "bind: %s = %s" v cls) c.binds;
+  let line fmt = line buf fmt in
+  write_header buf ~version ~label:"program" ~digest:c.program_digest c.lattice c.binds;
   line "nodes: %d" (node_count c);
   let rec emit path n =
     line "node %s: %s" path (rule_name n.kind);
@@ -176,6 +180,8 @@ let of_proof ~binding ~program proof =
 
 exception Fail of parse_error
 
+let fail line reason = raise (Fail { line; reason })
+
 let chop_prefix ~prefix s =
   if String.starts_with ~prefix s then
     Some (String.sub s (String.length prefix) (String.length s - String.length prefix))
@@ -195,7 +201,92 @@ let split_str sep s =
   in
   go 0 0 []
 
-let is_hex c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')
+let valid_digest d =
+  String.length d = 32
+  && String.for_all (fun c -> (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) d
+
+type cursor = { lines : string array; mutable pos : int }
+
+let peek c = if c.pos < Array.length c.lines then Some c.lines.(c.pos) else None
+
+let finish c =
+  match peek c with
+  | Some l -> fail (c.pos + 1) (Printf.sprintf "trailing data after certificate: %S" l)
+  | None -> ()
+
+let next c what =
+  match peek c with
+  | Some l ->
+    c.pos <- c.pos + 1;
+    (c.pos, l)
+  | None -> fail (c.pos + 1) ("unexpected end of certificate: expected " ^ what)
+
+let element (lat : string Lattice.t) ln cls =
+  match lat.Lattice.of_string cls with
+  | Ok c -> c
+  | Error _ -> fail ln (Printf.sprintf "unknown class %S" cls)
+
+let read_header text ~version ~label ~noun =
+  let c =
+    match List.rev (String.split_on_char '\n' text) with
+    | "" :: rest -> { lines = Array.of_list (List.rev rest); pos = 0 }
+    | _ -> fail 0 "certificate must end with a newline"
+  in
+  let ln, l = next c "version header" in
+  (match chop_prefix ~prefix:"ifc-cert " l with
+  | Some v -> (
+    match int_of_string_opt v with
+    | Some n when n = version -> ()
+    | Some n -> fail ln (Printf.sprintf "unsupported %s version %d" noun n)
+    | None -> fail ln "malformed version header")
+  | None -> fail ln (Printf.sprintf "expected version header \"ifc-cert %d\"" version));
+  let ln, l = next c (label ^ " digest") in
+  let digest =
+    match chop_prefix ~prefix:(label ^ ": ") l with
+    | Some d -> d
+    | None -> fail ln (Printf.sprintf "expected \"%s: <md5-hex>\"" label)
+  in
+  if not (valid_digest digest) then
+    fail ln
+      (Printf.sprintf "malformed %s digest (expected 32 lowercase hex digits)" label);
+  let spec_first_line = c.pos + 1 in
+  let spec = ref [] in
+  let rec collect_spec () =
+    match peek c with
+    | Some l when String.starts_with ~prefix:"lattice: " l ->
+      c.pos <- c.pos + 1;
+      spec := Option.get (chop_prefix ~prefix:"lattice: " l) :: !spec;
+      collect_spec ()
+    | _ -> ()
+  in
+  collect_spec ();
+  if !spec = [] then fail (c.pos + 1) "expected at least one \"lattice: ...\" line";
+  let lat =
+    match Spec.parse (String.concat "\n" (List.rev !spec)) with
+    | Ok lat -> lat
+    | Error msg -> fail spec_first_line ("invalid lattice spec: " ^ msg)
+  in
+  (* Bindings, sorted strictly by variable name. *)
+  let binds = ref [] in
+  let rec collect_binds () =
+    match peek c with
+    | Some l when String.starts_with ~prefix:"bind: " l ->
+      c.pos <- c.pos + 1;
+      let ln = c.pos in
+      let payload = Option.get (chop_prefix ~prefix:"bind: " l) in
+      (match split_str " = " payload with
+      | [ name; cls ] when name <> "" ->
+        (match !binds with
+        | (prev, _) :: _ when String.compare prev name >= 0 ->
+          fail ln "bindings must be sorted by variable name"
+        | _ -> ());
+        binds := (name, lat.Lattice.to_string (element lat ln cls)) :: !binds
+      | _ -> fail ln "expected \"bind: <variable> = <class>\"");
+      collect_binds ()
+    | _ -> ()
+  in
+  collect_binds ();
+  (c, digest, lat, List.rev !binds)
 
 let arity_ok kind n =
   match kind with
@@ -211,84 +302,10 @@ let arity_text = function
   | K_composition | K_concurrency -> "at least 1 sub-derivation"
 
 let parse_exn text =
-  let fail line reason = raise (Fail { line; reason }) in
-  let lines =
-    match List.rev (String.split_on_char '\n' text) with
-    | "" :: rest -> Array.of_list (List.rev rest)
-    | _ -> fail 0 "certificate must end with a newline"
+  let c, digest, lat, binds =
+    read_header text ~version ~label:"program" ~noun:"certificate"
   in
-  let pos = ref 0 in
-  let peek () = if !pos < Array.length lines then Some lines.(!pos) else None in
-  let next what =
-    match peek () with
-    | Some l ->
-      let ln = !pos + 1 in
-      incr pos;
-      (ln, l)
-    | None -> fail (!pos + 1) ("unexpected end of certificate: expected " ^ what)
-  in
-  (* Version header. *)
-  let ln, l = next "version header" in
-  (match chop_prefix ~prefix:"ifc-cert " l with
-  | Some v -> (
-    match int_of_string_opt v with
-    | Some n when n = version -> ()
-    | Some n -> fail ln (Printf.sprintf "unsupported certificate version %d" n)
-    | None -> fail ln "malformed version header")
-  | None -> fail ln "expected version header \"ifc-cert 1\"");
-  (* Program digest. *)
-  let ln, l = next "program digest" in
-  let digest =
-    match chop_prefix ~prefix:"program: " l with
-    | Some d -> d
-    | None -> fail ln "expected \"program: <md5-hex>\""
-  in
-  if String.length digest <> 32 || not (String.for_all is_hex digest) then
-    fail ln "malformed program digest (expected 32 lowercase hex digits)";
-  (* Lattice spec. *)
-  let spec_first_line = !pos + 1 in
-  let spec = ref [] in
-  let rec collect_spec () =
-    match peek () with
-    | Some l when String.starts_with ~prefix:"lattice: " l ->
-      incr pos;
-      spec := Option.get (chop_prefix ~prefix:"lattice: " l) :: !spec;
-      collect_spec ()
-    | _ -> ()
-  in
-  collect_spec ();
-  if !spec = [] then fail (!pos + 1) "expected at least one \"lattice: ...\" line";
-  let lat =
-    match Spec.parse (String.concat "\n" (List.rev !spec)) with
-    | Ok lat -> lat
-    | Error msg -> fail spec_first_line ("invalid lattice spec: " ^ msg)
-  in
-  let element ln cls =
-    match lat.Lattice.of_string cls with
-    | Ok c -> c
-    | Error _ -> fail ln (Printf.sprintf "unknown class %S" cls)
-  in
-  (* Bindings, sorted strictly by variable name. *)
-  let binds = ref [] in
-  let rec collect_binds () =
-    match peek () with
-    | Some l when String.starts_with ~prefix:"bind: " l ->
-      let ln = !pos + 1 in
-      incr pos;
-      let payload = Option.get (chop_prefix ~prefix:"bind: " l) in
-      (match split_str " = " payload with
-      | [ name; cls ] when name <> "" ->
-        (match !binds with
-        | (prev, _) :: _ when String.compare prev name >= 0 ->
-          fail ln "bindings must be sorted by variable name"
-        | _ -> ());
-        binds := (name, lat.Lattice.to_string (element ln cls)) :: !binds
-      | _ -> fail ln "expected \"bind: <variable> = <class>\"");
-      collect_binds ()
-    | _ -> ()
-  in
-  collect_binds ();
-  let binds = List.rev !binds in
+  let next = next c and peek () = peek c and element = element lat in
   (* Node count. *)
   let ln, l = next "node count" in
   let declared =
@@ -406,10 +423,7 @@ let parse_exn text =
     { kind; pre; post; children }
   in
   let root = parse_node "0" in
-  (match peek () with
-  | Some l ->
-    fail (!pos + 1) (Printf.sprintf "trailing data after certificate: %S" l)
-  | None -> ());
+  finish c;
   let c = { program_digest = digest; lattice = lat; binds; root } in
   if node_count c <> declared then
     fail ln

@@ -87,7 +87,9 @@ val pp_parse_error : Format.formatter -> parse_error -> unit
 
 (** {2 Line-format helpers}
 
-    Shared with {!Linked}, whose format uses the same line grammar. *)
+    Shared with {!Linked}, whose format uses the same line grammar and
+    the same header: version, digest, [lattice:] and sorted [bind:]
+    lines. *)
 
 val chop_prefix : prefix:string -> string -> string option
 (** [chop_prefix ~prefix s] is what follows [prefix] in [s], when [s]
@@ -98,5 +100,44 @@ val split_str : string -> string -> string list
     multi-character separator [sep], left to right. The separator is
     matched in place; only the pieces are allocated. *)
 
-val is_hex : char -> bool
-(** A lowercase hexadecimal digit. *)
+val valid_digest : string -> bool
+(** 32 lowercase hexadecimal digits. *)
+
+exception Fail of parse_error
+
+val fail : int -> string -> 'a
+
+type cursor = { lines : string array; mutable pos : int }
+(** A certificate's lines and how many have been read. *)
+
+val next : cursor -> string -> int * string
+(** [next c what] is the next line and its number, or fails with
+    ["unexpected end of certificate: expected " ^ what]. *)
+
+val finish : cursor -> unit
+(** Fails on a line left unread: ["trailing data after certificate"]. *)
+
+val element : string Ifc_lattice.Lattice.t -> int -> string -> string
+(** [cls] as a class of the lattice, or fails with ["unknown class ..."]. *)
+
+val read_header :
+  string ->
+  version:int ->
+  label:string ->
+  noun:string ->
+  cursor * string * string Ifc_lattice.Lattice.t * (string * string) list
+(** Reads what {!write_header} writes at the top of a text: the digest,
+    lattice and binds, and the cursor past them. [noun] names the format
+    in a version error, [label] the digest line. *)
+
+val line : Buffer.t -> ('a, unit, string, unit) format4 -> 'a
+(** One formatted line and its newline. *)
+
+val write_header :
+  Buffer.t ->
+  version:int ->
+  label:string ->
+  digest:string ->
+  string Ifc_lattice.Lattice.t ->
+  (string * string) list ->
+  unit

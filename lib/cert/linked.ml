@@ -5,7 +5,7 @@ module Lattice = Ifc_lattice.Lattice
 module Spec = Ifc_lattice.Spec
 module Extended = Ifc_lattice.Extended
 module Ast = Ifc_lang.Ast
-module Pretty = Ifc_lang.Pretty
+module Key = Ifc_lang.Key
 module Vars = Ifc_lang.Vars
 module Binding = Ifc_core.Binding
 module Cfm = Ifc_core.Cfm
@@ -47,177 +47,6 @@ type t = {
 }
 
 let version = 2
-
-(* Digests are structural: summary lookups digest the module on every
-   certification, so the canonical form fed to MD5 is a direct byte
-   fold over the tree, with no layout to compute, and the [ifc-cert 2]
-   format fixes its bytes. Strings are
-   length-prefixed and lists length-tagged, so distinct trees cannot
-   collide by concatenation; source spans are ignored, so two parses
-   of the same module share a digest. *)
-let serialize_module, serialize_linked =
-  let str b s =
-    Buffer.add_string b (string_of_int (String.length s));
-    Buffer.add_char b ':';
-    Buffer.add_string b s
-  in
-  let opt_str b = function
-    | None -> Buffer.add_char b '-'
-    | Some s -> str b s
-  in
-  let int b n =
-    Buffer.add_char b '#';
-    Buffer.add_string b (string_of_int n)
-  in
-  let binop = function
-    | Ast.Add -> 'a'
-    | Ast.Sub -> 's'
-    | Ast.Mul -> 'm'
-    | Ast.Div -> 'd'
-    | Ast.Mod -> 'r'
-    | Ast.Eq -> 'e'
-    | Ast.Ne -> 'n'
-    | Ast.Lt -> 'l'
-    | Ast.Le -> 'L'
-    | Ast.Gt -> 'g'
-    | Ast.Ge -> 'G'
-    | Ast.And -> '&'
-    | Ast.Or -> '|'
-  in
-  let rec expr b = function
-    | Ast.Int n ->
-      Buffer.add_char b 'I';
-      int b n
-    | Ast.Bool v ->
-      Buffer.add_char b 'B';
-      Buffer.add_char b (if v then 't' else 'f')
-    | Ast.Var x ->
-      Buffer.add_char b 'V';
-      str b x
-    | Ast.Index (a, i) ->
-      Buffer.add_char b 'X';
-      str b a;
-      expr b i
-    | Ast.Unop (op, e) ->
-      Buffer.add_char b 'U';
-      Buffer.add_char b (match op with Ast.Neg -> '-' | Ast.Not -> '!');
-      expr b e
-    | Ast.Binop (op, e1, e2) ->
-      Buffer.add_char b 'O';
-      Buffer.add_char b (binop op);
-      expr b e1;
-      expr b e2
-  in
-  let rec stmt b (s : Ast.stmt) =
-    match s.Ast.node with
-    | Ast.Skip -> Buffer.add_char b 'k'
-    | Ast.Assign (x, e) ->
-      Buffer.add_char b '=';
-      str b x;
-      expr b e
-    | Ast.Declassify (x, e, c) ->
-      Buffer.add_char b 'D';
-      str b x;
-      expr b e;
-      str b c
-    | Ast.Store (a, i, e) ->
-      Buffer.add_char b 'A';
-      str b a;
-      expr b i;
-      expr b e
-    | Ast.If (e, s1, s2) ->
-      Buffer.add_char b 'i';
-      expr b e;
-      stmt b s1;
-      stmt b s2
-    | Ast.While (e, body) ->
-      Buffer.add_char b 'w';
-      expr b e;
-      stmt b body
-    | Ast.Seq ss ->
-      Buffer.add_char b ';';
-      int b (List.length ss);
-      List.iter (stmt b) ss
-    | Ast.Cobegin ss ->
-      Buffer.add_char b 'c';
-      int b (List.length ss);
-      List.iter (stmt b) ss
-    | Ast.Wait x ->
-      Buffer.add_char b 'W';
-      str b x
-    | Ast.Signal x ->
-      Buffer.add_char b 'S';
-      str b x
-    | Ast.Send (ch, e) ->
-      Buffer.add_char b '>';
-      str b ch;
-      expr b e
-    | Ast.Recv (ch, x) ->
-      Buffer.add_char b '<';
-      str b ch;
-      str b x
-  in
-  let decl b = function
-    | Ast.Var_decl { name; cls } ->
-      Buffer.add_char b 'v';
-      str b name;
-      opt_str b cls
-    | Ast.Arr_decl { name; size; cls } ->
-      Buffer.add_char b 'y';
-      str b name;
-      int b size;
-      opt_str b cls
-    | Ast.Sem_decl { name; init; cls } ->
-      Buffer.add_char b 'z';
-      str b name;
-      int b init;
-      opt_str b cls
-    | Ast.Chan_decl { name; cap; cls } ->
-      Buffer.add_char b 'q';
-      str b name;
-      int b cap;
-      opt_str b cls
-  in
-  let entry b (e : Ast.iface_entry) =
-    str b e.Ast.iv_name;
-    str b e.Ast.iv_class
-  in
-  let module_unit b (m : Ast.module_unit) =
-    str b m.Ast.iface.Ast.m_name;
-    int b (List.length m.Ast.iface.Ast.provides);
-    List.iter (entry b) m.Ast.iface.Ast.provides;
-    int b (List.length m.Ast.iface.Ast.requires);
-    List.iter (entry b) m.Ast.iface.Ast.requires;
-    int b (List.length m.Ast.m_decls);
-    List.iter (decl b) m.Ast.m_decls;
-    stmt b m.Ast.m_body
-  in
-  let program b (p : Ast.program) =
-    int b (List.length p.Ast.decls);
-    List.iter (decl b) p.Ast.decls;
-    stmt b p.Ast.body
-  in
-  let serialize_module m =
-    let b = Buffer.create 1024 in
-    module_unit b m;
-    Buffer.contents b
-  in
-  let serialize_linked (l : Ast.linked) =
-    let b = Buffer.create 4096 in
-    int b (List.length l.Ast.modules);
-    List.iter (module_unit b) l.Ast.modules;
-    (match l.Ast.main with
-    | None -> Buffer.add_char b '-'
-    | Some p ->
-      Buffer.add_char b 'P';
-      program b p);
-    Buffer.contents b
-  in
-  (serialize_module, serialize_linked)
-
-let linked_digest l = Digest.to_hex (Digest.string (serialize_linked l))
-
-let module_digest m = Digest.to_hex (Digest.string (serialize_module m))
 
 let closed_program (m : Ast.module_unit) =
   let imports =
@@ -323,21 +152,9 @@ let summary_to_line s = String.concat "\t" (summary_to_lines s)
 
 let to_string (c : t) =
   let buf = Buffer.create 1024 in
-  let line fmt =
-    Printf.ksprintf
-      (fun s ->
-        Buffer.add_string buf s;
-        Buffer.add_char buf '\n')
-      fmt
-  in
-  line "ifc-cert %d" version;
-  line "linked: %s" c.linked_digest;
-  List.iter
-    (fun l -> line "lattice: %s" l)
-    (String.split_on_char '\n' (Spec.to_text c.lattice)
-    |> List.map String.trim
-    |> List.filter (fun l -> l <> ""));
-  List.iter (fun (v, cls) -> line "bind: %s = %s" v cls) c.binds;
+  let line fmt = Cert.line buf fmt in
+  Cert.write_header buf ~version ~label:"linked" ~digest:c.linked_digest c.lattice
+    c.binds;
   line "summaries: %d" (List.length c.summaries);
   List.iter (fun s -> List.iter (fun l -> line "%s" l) (summary_to_lines s)) c.summaries;
   (match c.main_cert with
@@ -352,17 +169,11 @@ let to_string (c : t) =
 
 type parse_error = Cert.parse_error = { line : int; reason : string }
 
-exception Fail of parse_error
-
-let fail line reason = raise (Fail { line; reason })
+let fail = Cert.fail
 
 let chop_prefix = Cert.chop_prefix
 
 let split_str = Cert.split_str
-
-let is_hex = Cert.is_hex
-
-let valid_digest d = String.length d = 32 && String.for_all is_hex d
 
 let valid_name v =
   v <> "" && not (String.exists (fun c -> c = ' ' || c = '(' || c = ')' || c = ',') v)
@@ -460,11 +271,11 @@ let parse_summary_block element next =
     | _ -> fail ln "expected \"summary <name>:\""
   in
   let ln, body_digest = field "body" in
-  if not (valid_digest body_digest) then fail ln "malformed body digest";
+  if not (Cert.valid_digest body_digest) then fail ln "malformed body digest";
   let ln, cert = field "cert" in
   let cert_digest =
     if String.equal cert "-" then None
-    else if valid_digest cert then Some cert
+    else if Cert.valid_digest cert then Some cert
     else fail ln "malformed component certificate digest"
   in
   let ln, s = field "provides" in
@@ -521,79 +332,10 @@ let parse_summary_block element next =
   }
 
 let parse_exn text =
-  let lines =
-    match List.rev (String.split_on_char '\n' text) with
-    | "" :: rest -> Array.of_list (List.rev rest)
-    | _ -> fail 0 "certificate must end with a newline"
+  let c, digest, lat, binds =
+    Cert.read_header text ~version ~label:"linked" ~noun:"linked-certificate"
   in
-  let pos = ref 0 in
-  let peek () = if !pos < Array.length lines then Some lines.(!pos) else None in
-  let next what =
-    match peek () with
-    | Some l ->
-      let ln = !pos + 1 in
-      incr pos;
-      (ln, l)
-    | None -> fail (!pos + 1) ("unexpected end of certificate: expected " ^ what)
-  in
-  let ln, l = next "version header" in
-  (match chop_prefix ~prefix:"ifc-cert " l with
-  | Some v -> (
-    match int_of_string_opt v with
-    | Some n when n = version -> ()
-    | Some n -> fail ln (Printf.sprintf "unsupported linked-certificate version %d" n)
-    | None -> fail ln "malformed version header")
-  | None -> fail ln "expected version header \"ifc-cert 2\"");
-  let ln, l = next "linked digest" in
-  let digest =
-    match chop_prefix ~prefix:"linked: " l with
-    | Some d -> d
-    | None -> fail ln "expected \"linked: <md5-hex>\""
-  in
-  if not (valid_digest digest) then
-    fail ln "malformed linked digest (expected 32 lowercase hex digits)";
-  let spec_first_line = !pos + 1 in
-  let spec = ref [] in
-  let rec collect_spec () =
-    match peek () with
-    | Some l when String.starts_with ~prefix:"lattice: " l ->
-      incr pos;
-      spec := Option.get (chop_prefix ~prefix:"lattice: " l) :: !spec;
-      collect_spec ()
-    | _ -> ()
-  in
-  collect_spec ();
-  if !spec = [] then fail (!pos + 1) "expected at least one \"lattice: ...\" line";
-  let lat =
-    match Spec.parse (String.concat "\n" (List.rev !spec)) with
-    | Ok lat -> lat
-    | Error msg -> fail spec_first_line ("invalid lattice spec: " ^ msg)
-  in
-  let element ln cls =
-    match lat.Lattice.of_string cls with
-    | Ok c -> c
-    | Error _ -> fail ln (Printf.sprintf "unknown class %S" cls)
-  in
-  let binds = ref [] in
-  let rec collect_binds () =
-    match peek () with
-    | Some l when String.starts_with ~prefix:"bind: " l ->
-      let ln = !pos + 1 in
-      incr pos;
-      let payload = Option.get (chop_prefix ~prefix:"bind: " l) in
-      (match split_str " = " payload with
-      | [ name; cls ] when name <> "" ->
-        (match !binds with
-        | (prev, _) :: _ when String.compare prev name >= 0 ->
-          fail ln "bindings must be sorted by variable name"
-        | _ -> ());
-        binds := (name, lat.Lattice.to_string (element ln cls)) :: !binds
-      | _ -> fail ln "expected \"bind: <variable> = <class>\"");
-      collect_binds ()
-    | _ -> ()
-  in
-  collect_binds ();
-  let binds = List.rev !binds in
+  let next = Cert.next c and element = Cert.element lat in
   let ln, l = next "summary count" in
   let declared =
     match chop_prefix ~prefix:"summaries: " l with
@@ -613,15 +355,13 @@ let parse_exn text =
   in
   let main_cert =
     if not has_main then begin
-      (match peek () with
-      | Some l -> fail (!pos + 1) (Printf.sprintf "trailing data after certificate: %S" l)
-      | None -> ());
+      Cert.finish c;
       None
     end
     else begin
-      let first = !pos in
+      let lines = c.Cert.lines and first = c.Cert.pos in
       if first >= Array.length lines then
-        fail (!pos + 1) "expected an embedded version-1 certificate after \"main: 1\"";
+        fail (first + 1) "expected an embedded version-1 certificate after \"main: 1\"";
       let rest =
         String.concat "\n"
           (Array.to_list (Array.sub lines first (Array.length lines - first)))
@@ -638,7 +378,7 @@ let parse_exn text =
 
 let parse text =
   try Ok (parse_exn text) with
-  | Fail e -> Error e
+  | Cert.Fail e -> Error e
   | exn -> Error { line = 0; reason = "internal error: " ^ Printexc.to_string exn }
 
 let summary_of_line line =
@@ -660,7 +400,7 @@ let summary_of_line line =
     | [] -> Ok s
     | l :: _ -> Error (Printf.sprintf "trailing summary data: %S" l)
   with
-  | Fail e -> Error e.reason
+  | Cert.Fail e -> Error e.reason
   | exn -> Error ("internal error: " ^ Printexc.to_string exn)
 
 let sniff_version text =
@@ -713,7 +453,7 @@ let check ?(components = []) (c : t) (l : Ast.linked) =
       None
   in
   (* Unit digest. *)
-  if not (String.equal (linked_digest l) c.linked_digest) then
+  if not (String.equal (Key.linked_digest l) c.linked_digest) then
     add "program" "digest" "certificate was issued for a different linked unit";
   (* Binding domain and class validity. *)
   let expected = bind_domain l in
@@ -750,7 +490,7 @@ let check ?(components = []) (c : t) (l : Ast.linked) =
         add path "name"
           (Printf.sprintf "summary names %s but the unit's module is %s" s.m_name
              m.iface.m_name);
-      if not (String.equal (module_digest m) s.body_digest) then
+      if not (String.equal (Key.module_digest m) s.body_digest) then
         add path "digest" "summary was issued for a different module body";
       if s.provides <> iface_entries m.iface.provides then
         add path "provides" "recorded provides clause differs from the unit's";

@@ -47,7 +47,8 @@ type sflow = F_nil | F_sym of { base : string; over : string list }
 
 type summary = {
   m_name : string;
-  body_digest : string;  (** {!module_digest} of the summarized module. *)
+  body_digest : string;
+      (** {!Ifc_lang.Key.module_digest} of the summarized module. *)
   cert_digest : string option;
       (** MD5 hex of the component's version-1 certificate, when one was
           emitted for the import-closed module body. *)
@@ -72,7 +73,7 @@ type summary = {
 }
 
 type t = {
-  linked_digest : string;  (** {!linked_digest} of the whole unit. *)
+  linked_digest : string;  (** {!Ifc_lang.Key.linked_digest} of the whole unit. *)
   lattice : string Ifc_lattice.Lattice.t;
   binds : (string * string) list;
       (** [variable, class] over every variable of every body, sorted. *)
@@ -84,15 +85,6 @@ type t = {
 
 val version : int
 (** The linked-certificate format version: [2]. *)
-
-val linked_digest : Ifc_lang.Ast.linked -> string
-(** MD5 hex of the unit's structural serialization (spans ignored). *)
-
-val module_digest : Ifc_lang.Ast.module_unit -> string
-(** The structural digest summaries are keyed by: MD5 hex of a direct
-    byte serialization of the module (interface, declarations and
-    body; source spans ignored), so two parses of the same module text
-    digest identically. *)
 
 val closed_program : Ifc_lang.Ast.module_unit -> Ifc_lang.Ast.program
 (** The import-closed view of a module: its own declarations plus one

@@ -241,10 +241,10 @@ let rows_of_plant = function
   | Plant.Refine_unsound -> [ Refine_row ]
   | Plant.Stall _ -> []
 
-(* The store replay key: the same content address the pipeline would use
-   for a CFM-only job over this (program, binding) on the campaign
-   lattice — so a fuzz store and a batch/serve store speak about the
-   same artifacts. *)
+(* The case key: the content address the pipeline would use for a
+   CFM-only job over this (program, binding) on the campaign lattice. It
+   keys store replay, so a fuzz store and a batch/serve store speak about
+   the same artifacts, and it dedups and names counterexamples. *)
 let store_digest program binding =
   Job.digest
     (Job.make ~id:0 ~name:"fuzz" ~lattice ~binding ~analyses:[ Job.Cfm ]
@@ -373,15 +373,6 @@ let run_case ?store (config : config) rows index =
 (* ------------------------------------------------------------------ *)
 (* Shrinking and persistence *)
 
-let binding_digest_text binding =
-  Binding.bindings binding
-  |> List.map (fun (v, c) -> v ^ ":" ^ c)
-  |> String.concat ","
-
-let case_digest program binding =
-  Digest.to_hex
-    (Digest.string (Pretty.program_to_string program ^ "|" ^ binding_digest_text binding))
-
 let shrink_counterexample config sink seen (o : outcome) =
   match o.payload with
   | None -> None
@@ -435,7 +426,7 @@ let shrink_counterexample config sink seen (o : outcome) =
             Corpus.write_linked ~dir ~name ~lattice_name ~binding ~expected
               ~note (Modfuzz.swapped small) )
     in
-    let digest = case_digest shrunk binding in
+    let digest = store_digest shrunk binding in
     let fresh = not (Hashtbl.mem seen digest) in
     Hashtbl.replace seen digest ();
     let corpus_path =

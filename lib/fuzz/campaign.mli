@@ -95,7 +95,9 @@ type counterexample = {
   original_statements : int;
   shrunk_statements : int;
   shrink : Shrink.stats;
-  digest : string;  (** Content digest of (shrunk program, binding). *)
+  digest : string;
+      (** The job key of a CFM-only job over (shrunk program, binding) on
+          the campaign lattice. *)
   corpus_path : string option;
       (** [None] when no corpus directory was given or an identical
           counterexample was already persisted this campaign. *)

@@ -19,18 +19,11 @@ let text o s =
   Buffer.add_string o.buf s;
   if o.flat && column o >= margin then raise_notrace Too_wide
 
-let rec digits o n =
-  if n >= 10 then digits o (n / 10);
-  Buffer.add_char o.buf (Char.unsafe_chr (48 + (n mod 10)))
-
 (* An integer, without [string_of_int]'s allocation and format parsing:
    they cost a printed program about a quarter of its time. *)
 let int o n =
-  if n >= 0 then begin
-    digits o n;
-    if o.flat && column o >= margin then raise_notrace Too_wide
-  end
-  else text o (string_of_int n)
+  Key.decimal o.buf n;
+  if o.flat && column o >= margin then raise_notrace Too_wide
 
 let spaces = String.make max_indent ' '
 

@@ -7,8 +7,8 @@
 
     {2 Layout}
 
-    The printed form is canonical: job digests, certificate program
-    digests and fuzz campaign keys hash it, so its bytes are fixed. It is
+    The printed form is canonical: version-1 certificate program
+    digests hash it, so its bytes are fixed. It is
     the layout [Format] gives these boxes at margin 78 and maximum
     indentation 68, computed here directly into one buffer:
 

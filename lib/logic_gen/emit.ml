@@ -22,10 +22,10 @@ let of_proof ~binding ~program proof =
     | Ok () -> Ok (text, parsed)
     | Error failures -> Error (`Rejected failures))
 
-let certificate binding program =
+let certificate ~witness binding program =
   match derivation binding program with
   | Some proof -> of_proof ~binding ~program proof
   | None -> (
-    match Invariance.witness binding program.Ast.body with
+    match Lazy.force witness with
     | Error errors -> Error (`Not_certifiable errors)
     | Ok proof -> of_proof ~binding ~program proof)

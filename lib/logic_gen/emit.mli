@@ -26,11 +26,14 @@ val of_proof :
     their parse, or why not. *)
 
 val certificate :
+  witness:(string Ifc_logic.Proof.t, Ifc_logic.Check.error list) result Lazy.t ->
   string Ifc_core.Binding.t ->
   Ifc_lang.Ast.program ->
   ( string * Ifc_cert.Cert.t,
     [> check_failure | `Not_certifiable of Ifc_logic.Check.error list ] )
   result
-(** {!of_proof} on the {!derivation}. Without one, {!Invariance.witness}
-    decides: its errors are [`Not_certifiable], and a proof it finds
-    anyway (a Theorem 2 bug) goes to {!of_proof}. *)
+(** {!of_proof} on the {!derivation}. Without one, [witness] — the
+    program's {!Invariance.witness}, forced only then — decides: its
+    errors are [`Not_certifiable], and a proof it finds anyway (a
+    Theorem 2 bug) goes to {!of_proof}. Lazy so that a job which also
+    proves builds the witness once. *)

@@ -7,6 +7,7 @@ module Lattice = Ifc_lattice.Lattice
 module Extended = Ifc_lattice.Extended
 module Ast = Ifc_lang.Ast
 module Wellformed = Ifc_lang.Wellformed
+module Key = Ifc_lang.Key
 module Binding = Ifc_core.Binding
 module Cfm = Ifc_core.Cfm
 module Cert = Ifc_cert.Cert
@@ -213,7 +214,7 @@ let emit ~lattice ?default (l : Ast.linked) outcome =
     Result.bind main_cert (fun main_cert ->
         let cert =
           {
-            Linked.linked_digest = Linked.linked_digest l;
+            Linked.linked_digest = Key.linked_digest l;
             lattice;
             binds;
             summaries;
@@ -245,7 +246,7 @@ let emit ~lattice ?default (l : Ast.linked) outcome =
    elaboration does not record. *)
 let job_analysis ?store ~lattice ?default (l : Ast.linked) =
   Ifc_pipeline.Job.Link
-    ( Linked.linked_digest l,
+    ( Key.linked_digest l,
       fun _binding _program ->
         match certify ?store ~lattice ?default l with
         | Error _ -> (false, 0, None)

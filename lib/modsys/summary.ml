@@ -4,6 +4,7 @@
 module Lattice = Ifc_lattice.Lattice
 module Extended = Ifc_lattice.Extended
 module Ast = Ifc_lang.Ast
+module Key = Ifc_lang.Key
 module Binding = Ifc_core.Binding
 module Cfm = Ifc_core.Cfm
 module Linked = Ifc_cert.Linked
@@ -87,7 +88,7 @@ let rec obligations ((sends, recvs, waits, signals) as acc) (s : Ast.stmt) =
   | Ast.Signal sem -> (sends, recvs, waits, Sset.add sem signals)
   | _ -> List.fold_left obligations acc (Ast.children s)
 
-let summarize ~lattice ?default (m : Ast.module_unit) =
+let summarize_body ~lattice ?default ~body_digest (m : Ast.module_unit) =
   let resolve what cls =
     match lattice.Lattice.of_string cls with
     | Ok c -> Ok c
@@ -129,7 +130,7 @@ let summarize ~lattice ?default (m : Ast.module_unit) =
               Ok
                 {
                   Linked.m_name = m.iface.m_name;
-                  body_digest = Linked.module_digest m;
+                  body_digest;
                   cert_digest = None;
                   provides =
                     List.map (fun (x, c) -> (x, to_s c)) provides;
@@ -155,10 +156,15 @@ let summarize ~lattice ?default (m : Ast.module_unit) =
                   exports_ok;
                 })))
 
+let summarize ~lattice ?default m =
+  summarize_body ~lattice ?default ~body_digest:(Key.module_digest m) m
+
 (* ------------------------------------------------------------------ *)
 (* Store persistence *)
 
-let key ~lattice ?default m =
+(* The module's key with the classification context. Keep these bytes:
+   summary stores already written are read under them. *)
+let key ~lattice ?default body_digest =
   let default_s =
     lattice.Lattice.to_string (Option.value default ~default:lattice.Lattice.bottom)
   in
@@ -167,7 +173,7 @@ let key ~lattice ?default m =
        (String.concat "\x00"
           [
             "ifc-modsys 1";
-            Linked.module_digest m;
+            body_digest;
             lattice.Lattice.name;
             String.concat ","
               (List.map lattice.Lattice.to_string lattice.Lattice.elements);
@@ -175,17 +181,19 @@ let key ~lattice ?default m =
           ]))
 
 (* The store answers only a payload that parses back to a summary; any
-   other is a miss, and the fresh summary overwrites it. *)
+   other is a miss, and the fresh summary overwrites it. The module is
+   folded once, for both the store key and a fresh summary's body digest. *)
 let resolve ?store ~lattice ?default (m : Ast.module_unit) =
+  let body_digest = Key.module_digest m in
   let fresh () =
     Result.map_error
       (Printf.sprintf "module %s: %s" m.iface.m_name)
-      (summarize ~lattice ?default m)
+      (summarize_body ~lattice ?default ~body_digest m)
   in
   match store with
   | None -> Result.map (fun s -> (s, false)) (fresh ())
   | Some st -> (
-    let digest = key ~lattice ?default m in
+    let digest = key ~lattice ?default body_digest in
     match
       Option.bind (Store.find_summary st ~digest) (fun payload ->
           Result.to_option (Linked.summary_of_line payload))

@@ -3,7 +3,7 @@
 module Lattice = Ifc_lattice.Lattice
 module Builtin = Ifc_lattice.Builtin
 module Ast = Ifc_lang.Ast
-module Pretty = Ifc_lang.Pretty
+module Key = Ifc_lang.Key
 module Binding = Ifc_core.Binding
 module Cfm = Ifc_core.Cfm
 module Denning = Ifc_core.Denning
@@ -67,24 +67,30 @@ let make ~id ~name ~lattice ~binding ?(analyses = default_analyses)
     ?(self_check = false) program =
   { id; name; program; binding; lattice; analyses; self_check }
 
-(* The digest covers every input the verdicts depend on. The program is
-   keyed by its canonical pretty-printed form, so two parses of the same
-   source — or a generated program and its round-tripped copy — share a
-   cache entry. Every request pays for it before its cache lookup:
-   printing costs about as much as parsing (EXPERIMENTS.md, FRONT), and
-   a built-in scheme's text was rendered once, at start-up. *)
+(* Every input the verdicts depend on, in one buffer hashed once; each
+   field after the program is tagged and length-prefixed, so none runs
+   into the next. Every request pays for the key before its cache lookup:
+   the fold costs less than a CFM run (EXPERIMENTS.md, FRONT), and a
+   built-in scheme's text was rendered once, at start-up. *)
 let digest spec =
-  let payload =
-    String.concat "\x00"
-      [
-        Pretty.program_to_string spec.program;
-        Fmt.str "%a" Binding.pp spec.binding;
-        Builtin.to_text spec.lattice;
-        String.concat "," (List.map analysis_key spec.analyses);
-        string_of_bool spec.self_check;
-      ]
+  let lattice_text = Builtin.to_text spec.lattice in
+  let b = Buffer.create (4096 + String.length lattice_text) in
+  let field tag s =
+    Buffer.add_char b tag;
+    Key.str b s
   in
-  Digest.to_hex (Digest.string payload)
+  Key.str b "ifc-job 2";
+  Key.program b spec.program;
+  List.iter
+    (fun (v, c) ->
+      field 'b' v;
+      Key.str b c)
+    (Binding.bindings spec.binding);
+  field 'd' (Binding.default spec.binding);
+  field 'l' lattice_text;
+  List.iter (fun a -> field 'a' (analysis_key a)) spec.analyses;
+  Buffer.add_char b (if spec.self_check then 't' else 'f');
+  Key.digest b
 
 type analysis_result = {
   analysis : string;
@@ -197,7 +203,7 @@ let run_lint program =
   let n = List.length report.Ifc_analysis.Analyze.findings in
   (n = 0, n, Some (lint_report_json report))
 
-let run_analysis spec analysis =
+let run_analysis spec witness analysis =
   let timer = Telemetry.start () in
   let verdict, checks, artifact =
     match analysis with
@@ -212,10 +218,10 @@ let run_analysis spec analysis =
       in
       (r.Cfm.certified, List.length r.Cfm.checks, None)
     | Prove -> (
-      match Invariance.witness spec.binding spec.program.Ast.body with
+      match Lazy.force witness with
       | Ok proof -> (true, Proof.size proof, None)
       | Error errors -> (false, List.length errors, None))
-    | Cert -> cert_outcome (Emit.certificate spec.binding spec.program)
+    | Cert -> cert_outcome (Emit.certificate ~witness spec.binding spec.program)
     | Ni { pairs; max_states } ->
       let r =
         Ni.test ~pairs ~max_states ~observer:spec.lattice.Lattice.bottom
@@ -241,8 +247,10 @@ let run ?digest:precomputed spec =
     match precomputed with Some d -> d | None -> digest spec
   in
   let timer = Telemetry.start () in
+  (* Built at most once: [Prove] and [Cert] (when CFM rejects) share it. *)
+  let witness = lazy (Invariance.witness spec.binding spec.program.Ast.body) in
   let outcome =
-    try Ok (List.map (run_analysis spec) spec.analyses)
+    try Ok (List.map (run_analysis spec witness) spec.analyses)
     with exn -> Error (Printexc.to_string exn)
   in
   {

@@ -87,11 +87,13 @@ val make :
   spec
 
 val digest : spec -> string
-(** Content address of everything the verdict depends on: the
-    pretty-printed program, the rendered binding, the lattice rendered in
-    spec-file form, the analysis keys, and the [self_check] flag, hashed
-    with [Digest] and rendered in hex. Two specs with equal digests
-    produce equal outcomes. *)
+(** Content address of everything the verdict depends on: the program's
+    structure ({!Ifc_lang.Key.program}: spans, spacing and comments do not
+    count), the binding's entries and its default class, the lattice
+    rendered in spec-file form, the analysis keys, and the [self_check]
+    flag, folded into one buffer, hashed with [Digest] and rendered in
+    hex. Two specs with equal digests produce equal outcomes. The bytes
+    are fixed for a given build, not across releases. *)
 
 type analysis_result = {
   analysis : string;  (** {!analysis_name}. *)
@@ -143,7 +145,9 @@ val cert_outcome :
 val run : ?digest:string -> spec -> result
 (** Executes the analyses in order, timing each. Any exception an
     analysis raises is captured into [Error] — callers never see it.
-    [?digest] avoids recomputing a digest the caller already has. *)
+    [?digest] avoids recomputing a digest the caller already has. A job
+    listing both [Prove] and [Cert] builds the flow-logic witness once,
+    and its time counts toward whichever of the two forces it first. *)
 
 val verdict : result -> [ `Pass | `Fail | `Error ]
 (** [`Pass] iff every analysis verdict is [true]. *)

@@ -9,7 +9,8 @@ module J = Ifc_pipeline.Telemetry
    op (module summaries, summary-based linking, refinement checks).
    Older requests remain valid and get byte-identical older responses:
    responses echo the request's declared version, and no pre-existing
-   op's envelope changed shape. *)
+   op's envelope changed shape. The [digest] field's value, the job key,
+   is one at every version (PROTOCOL.md, "The job key"). *)
 let version = 5
 let min_version = 1
 

@@ -91,11 +91,7 @@ let list_dir path =
     Array.to_list names
   else []
 
-let is_digest_name name =
-  String.length name = 32
-  && String.for_all
-       (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
-       name
+let is_digest_name = Ifc_cert.Cert.valid_digest
 
 (* ------------------------------------------------------------------ *)
 (* Entry and summary serialization *)
@@ -162,7 +158,9 @@ let scan_bool sc key =
   | Some b -> b
   | None -> raise (Malformed ("bad " ^ key))
 
-let entry_magic = "ifc-store-entry 1"
+(* Moves with the job key ({!Job.digest}): no lookup computes an older
+   entry's key, so preload skips it and find, verify and gc quarantine it. *)
+let entry_magic = "ifc-store-entry 2"
 let summary_magic = "ifc-store-summary 2"
 
 let render_entry ~digest ~generation (results : Job.analysis_result list) =

@@ -165,6 +165,79 @@ let test_parser_rejects_wrong_version () =
   | Ok _ -> Alcotest.fail "future version must not parse"
   | Error e -> check_int "error on line 1" 1 e.Cert.line
 
+(* Both formats open with the same header (version, digest, lattice
+   lines, sorted binds). Each malformed header is pinned with its line
+   and message, per format. *)
+let header_errors () =
+  let lattice =
+    String.split_on_char '\n' (Ifc_lattice.Spec.to_text two)
+    |> List.map String.trim
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l -> "lattice: " ^ l)
+  in
+  let hex = String.make 32 'a' in
+  let cases ~version ~label tail =
+    let t ?(version = version) ?(digest = hex) ?(lattice = lattice)
+        ?(binds = [ "bind: x = low"; "bind: y = high" ]) () =
+      String.concat "\n"
+        ((Printf.sprintf "ifc-cert %d" version :: (label ^ ": " ^ digest) :: lattice)
+        @ binds @ tail)
+      ^ "\n"
+    in
+    [
+      ("well-formed", t ());
+      ("wrong version", t ~version:7 ());
+      ("non-hex digest", t ~digest:(String.make 32 'G') ());
+      ("no lattice line", t ~lattice:[] ());
+      ("invalid lattice", t ~lattice:[ "lattice: order" ] ());
+      ("unsorted binds", t ~binds:[ "bind: y = low"; "bind: x = low" ] ());
+      ("unknown class", t ~binds:[ "bind: x = medium" ] ());
+      ("truncated", Printf.sprintf "ifc-cert %d\n" version);
+      ("no version header", "ifc-certificate\n" ^ t ());
+      ("malformed version", Printf.sprintf "ifc-cert v%d\n" version ^ t ());
+      ("no digest line", Printf.sprintf "ifc-cert %d\ndigest: %s\n" version hex);
+    ]
+  in
+  let show name = function
+    | Ok _ -> name ^ ": ok"
+    | Error (e : Cert.parse_error) -> Printf.sprintf "%s: line %d: %s" name e.line e.reason
+  in
+  List.map
+    (fun (name, t) -> show ("v1 " ^ name) (Cert.parse t))
+    (cases ~version:1 ~label:"program"
+       [ "nodes: 1"; "node 0: skip"; "  pre: {}"; "  post: {}" ])
+  @ List.map
+      (fun (name, t) -> show ("v2 " ^ name) (Ifc_cert.Linked.parse t))
+      (cases ~version:2 ~label:"linked" [ "summaries: 0"; "main: 0" ])
+
+let test_parser_header_errors () =
+  Alcotest.(check (list string)) "header errors"
+    [
+      "v1 well-formed: ok";
+      "v1 wrong version: line 1: unsupported certificate version 7";
+      "v1 non-hex digest: line 2: malformed program digest (expected 32 lowercase hex digits)";
+      "v1 no lattice line: line 3: expected at least one \"lattice: ...\" line";
+      "v1 invalid lattice: line 3: invalid lattice spec: line 1: unrecognised directive \"order\"";
+      "v1 unsorted binds: line 7: bindings must be sorted by variable name";
+      "v1 unknown class: line 6: unknown class \"medium\"";
+      "v1 truncated: line 2: unexpected end of certificate: expected program digest";
+      "v1 no version header: line 1: expected version header \"ifc-cert 1\"";
+      "v1 malformed version: line 1: malformed version header";
+      "v1 no digest line: line 2: expected \"program: <md5-hex>\"";
+      "v2 well-formed: ok";
+      "v2 wrong version: line 1: unsupported linked-certificate version 7";
+      "v2 non-hex digest: line 2: malformed linked digest (expected 32 lowercase hex digits)";
+      "v2 no lattice line: line 3: expected at least one \"lattice: ...\" line";
+      "v2 invalid lattice: line 3: invalid lattice spec: line 1: unrecognised directive \"order\"";
+      "v2 unsorted binds: line 7: bindings must be sorted by variable name";
+      "v2 unknown class: line 6: unknown class \"medium\"";
+      "v2 truncated: line 2: unexpected end of certificate: expected linked digest";
+      "v2 no version header: line 1: expected version header \"ifc-cert 2\"";
+      "v2 malformed version: line 1: malformed version header";
+      "v2 no digest line: line 2: expected \"linked: <md5-hex>\"";
+    ]
+    (header_errors ())
+
 (* ------------------------------------------------------------------ *)
 (* Tamper detection: each class of forgery names the offending node *)
 
@@ -444,7 +517,8 @@ let emit_matches_reference (name, lattice) =
       let program = bp.Qcheck_arbitrary.prog in
       let binding = Qcheck_arbitrary.binding_of bp in
       let certified = Cfm.certified binding program.Ast.body in
-      match (Emit.certificate binding program, reference_emit binding program) with
+      let witness = lazy (Invariance.witness binding program.Ast.body) in
+      match (Emit.certificate ~witness binding program, reference_emit binding program) with
       | Ok (text, _), Some reference -> certified && String.equal text reference
       | Error (`Not_certifiable _), None -> not certified
       | _ -> false)
@@ -455,7 +529,10 @@ let test_emit_not_certifiable_errors () =
   let binding = Binding.make two ~default:"low" [ ("x", "high") ] in
   let show errors = Fmt.str "%a" (Fmt.list ~sep:Fmt.cut Check.pp_error) errors in
   match
-    (Emit.certificate binding Paper.fig3, Invariance.witness binding Paper.fig3.Ast.body)
+    ( Emit.certificate
+        ~witness:(lazy (Invariance.witness binding Paper.fig3.Ast.body))
+        binding Paper.fig3,
+      Invariance.witness binding Paper.fig3.Ast.body )
   with
   | Error (`Not_certifiable errors), Error reference ->
     check "errors reported" true (errors <> []);
@@ -496,6 +573,8 @@ let suite =
       Alcotest.test_case "parser: line surgery" `Quick test_parser_line_surgery;
       Alcotest.test_case "parser: wrong version" `Quick
         test_parser_rejects_wrong_version;
+      Alcotest.test_case "parser: header errors, both formats" `Quick
+        test_parser_header_errors;
       Alcotest.test_case "tamper: assertion class" `Quick
         test_tamper_assertion_class;
       Alcotest.test_case "tamper: rule swap" `Quick test_tamper_rule_swap;

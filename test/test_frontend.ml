@@ -1,7 +1,7 @@
-(* The front end's outputs, pinned. Every request lexes, parses and
-   prints its program, and the printed form is what job digests,
-   certificate program digests and the fuzz campaign key hash, so none
-   of those bytes may move when the lexer, parser or printer change.
+(* The front end's outputs, pinned. Every request lexes and parses its
+   program and folds the tree into its job key, and the printed form is
+   what version-1 certificate program digests hash, so none of those
+   bytes may move when the lexer, parser, printer or fold change.
    One MD5 covers, on a couple of thousand generated programs across
    generator configs, identifier lengths and nesting depths: the printed
    program and body, the parsed AST with every span, the token list, job
@@ -356,7 +356,24 @@ let test_pinned () =
   let bytes, md5 = corpus_digest () in
   Alcotest.(check bool) "corpus is non-trivial" true (bytes > 1_000_000);
   Alcotest.(check string) "printed, parsed, lexed, digested and rejected forms"
-    "ecafa30150a163212878bb49b40dcce7" md5
+    "18291b2c1c7e976ed61a33e1244eab6d" md5
+
+(* The structural key of modules and linked units, pinned apart from
+   the corpus above: summary body digests and the linked digest are
+   fixed by the ifc-cert 2 format, so the fold behind them must keep its
+   bytes wherever it lives. *)
+let test_key_pinned () =
+  let rng = Prng.create 1299709 in
+  let buf = Buffer.create 16384 in
+  for _ = 1 to 200 do
+    let l = gen_linked rng in
+    List.iter
+      (fun m -> Printf.bprintf buf "%s " (Ifc_lang.Key.module_digest m))
+      l.Ast.modules;
+    Printf.bprintf buf "%s\n" (Ifc_lang.Key.linked_digest l)
+  done;
+  Alcotest.(check string) "module and linked-unit digests"
+    "1922a144f2a0374908af990f2a31c2a9" (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 (* ------------------------------------------------------------------ *)
 (* Layout boundaries *)
@@ -409,6 +426,7 @@ let suite =
   ( "frontend",
     [
       Alcotest.test_case "pinned front-end outputs" `Quick test_pinned;
+      Alcotest.test_case "pinned structural key" `Quick test_key_pinned;
       Alcotest.test_case "margin boundary" `Quick test_margin;
       Alcotest.test_case "indentation cap" `Quick test_indent_cap;
     ] )

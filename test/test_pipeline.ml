@@ -424,11 +424,11 @@ let test_batch_digest_sensitivity () =
   check "digest ignores id and name" true
     (String.equal d (Job.digest { spec with Job.id = 99; Job.name = "other" }))
 
-(* An mls job, with its digest computed before security classes were
-   indexed by name: the rendered lattice is part of the key, so response
-   digests and store object names must not move. Its certificate's
-   lattice lines hold class names such as secret:{NUC,EUR}, which must
-   re-parse for the cert analysis to pass. *)
+(* An mls job's key, pinned: the rendered lattice is part of the key,
+   and response digests and store object names may move only with the
+   store's entry format. Its certificate's lattice lines hold class
+   names such as secret:{NUC,EUR}, which must re-parse for the cert
+   analysis to pass. *)
 let test_mls_job_pinned () =
   let mls = Option.get (Ifc_lattice.Builtin.find "mls") in
   let program =
@@ -445,9 +445,119 @@ let test_mls_job_pinned () =
       ]
   in
   let spec = Job.make ~id:0 ~name:"pin" ~lattice:mls ~binding program in
-  Alcotest.(check string) "digest" "4b7adf01fff1ccdfaf407047418cc564" (Job.digest spec);
+  Alcotest.(check string) "digest" "61e924515156cd891523739c8ffaaecf" (Job.digest spec);
   let r = Job.run { spec with Job.analyses = [ Job.Cert ] } in
   Alcotest.(check string) "cert verdict" "pass" (Job.verdict_string r)
+
+(* ------------------------------------------------------------------ *)
+(* The job key *)
+
+(* The same program laid out otherwise: comments of both forms around
+   and between the lines, every space doubled, every line indented. *)
+let respaced text =
+  let b = Buffer.create (2 * String.length text) in
+  Buffer.add_string b "-- a leading comment\n(* and (* a nested *) one *)\n";
+  String.iter
+    (function
+      | ' ' -> Buffer.add_string b "  "
+      | '\n' -> Buffer.add_string b " (* eol *)\n\t"
+      | c -> Buffer.add_char b c)
+    text;
+  Buffer.add_string b "\n-- trailing\n";
+  Buffer.contents b
+
+let key_property name =
+  let scheme name = Option.get (Ifc_lattice.Builtin.find name) in
+  let lattice = scheme name in
+  let other_lattice = scheme (if name = "mls" then "two" else "mls") in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:80
+       ~name:(Printf.sprintf "job key is structural and covers every input (%s)" name)
+       (Qcheck_arbitrary.bound_program ~max_size:25 lattice)
+       (fun bp ->
+         let program = bp.Qcheck_arbitrary.prog in
+         let binding = Qcheck_arbitrary.binding_of bp in
+         let spec = Job.make ~id:0 ~name:"key" ~lattice ~binding program in
+         let key = Job.digest spec in
+         let text = Ifc_lang.Pretty.program_to_string program in
+         let reparsed src =
+           match Ifc_lang.Parser.parse_program src with
+           | Ok p -> Job.digest { spec with Job.program = p }
+           | Error e -> QCheck.Test.fail_reportf "%a" Ifc_lang.Parser.pp_error e
+         in
+         let entries = Binding.bindings binding in
+         let top = lattice.Lattice.top and bottom = lattice.Lattice.bottom in
+         let rebound =
+           match entries with
+           | (v, c) :: rest ->
+             Binding.make lattice
+               ((v, if lattice.Lattice.equal c top then bottom else top) :: rest)
+           | [] -> Binding.make lattice [ ("fresh", top) ]
+         in
+         let differs spec' = not (String.equal key (Job.digest spec')) in
+         String.equal key (reparsed text)
+         && String.equal key (reparsed (respaced text))
+         && differs { spec with Job.binding = rebound }
+         && differs
+              { spec with Job.binding = Binding.make lattice ~default:top entries }
+         && differs { spec with Job.lattice = other_lattice }
+         && differs { spec with Job.analyses = [ Job.Cfm; Job.Cert ] }
+         && differs { spec with Job.analyses = [] }
+         && differs { spec with Job.self_check = true }))
+
+(* Jobs and their near-miss siblings through one shared cache answer
+   exactly what a fresh run of each answers: no two of them may share an
+   entry unless their verdicts must agree. *)
+let test_shared_cache_differential () =
+  let y_from_x = Result.get_ok (Ifc_lang.Parser.parse_program "var x, y : integer;\nbegin y := x end") in
+  let by_default default =
+    Job.make ~id:0 ~name:"y := x" ~lattice:two
+      ~binding:(Binding.make two ~default [ ("y", "low") ])
+      y_from_x
+  in
+  let siblings (spec : Job.spec) =
+    let entries = Binding.bindings spec.Job.binding in
+    [
+      spec;
+      { spec with Job.binding = Binding.make two ~default:"high" entries };
+      { spec with Job.binding = Binding.make two ~default:"high" (List.tl entries) };
+      { spec with Job.self_check = true };
+      { spec with Job.analyses = [ Job.Cfm; Job.Cert ] };
+    ]
+  in
+  let specs =
+    [ by_default "low"; by_default "high" ]
+    @ List.concat_map siblings
+        (List.filter
+           (fun s -> Binding.bindings s.Job.binding <> [])
+           (corpus ~analyses:[ Job.Cfm; Job.Denning ] 16))
+    |> List.mapi (fun id s -> { s with Job.id })
+  in
+  let answer (r : Job.result) =
+    match r.Job.outcome with
+    | Error e -> "error " ^ e
+    | Ok results ->
+      String.concat ";"
+        (List.map
+           (fun (a : Job.analysis_result) ->
+             Printf.sprintf "%s %b %d %s" a.Job.analysis a.Job.verdict a.Job.checks
+               (Option.value a.Job.artifact ~default:"-"))
+           results)
+  in
+  let fresh = List.map (fun s -> answer (Job.run s)) specs in
+  let cache = Cache.create () in
+  List.iter
+    (fun pass ->
+      let summary = Batch.run ~cache specs in
+      List.iter2
+        (fun expected r ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s pass, job %d (%s)" pass r.Job.job_id r.Job.job_name)
+            expected (answer r))
+        fresh summary.Batch.results)
+    [ "first"; "second" ];
+  check "the default class decides y := x" false
+    (String.equal (List.nth fresh 0) (List.nth fresh 1))
 
 let test_batch_multi_analysis_jsonl () =
   let path = Filename.temp_file "ifc_batch" ".jsonl" in
@@ -520,6 +630,10 @@ let suite =
       Alcotest.test_case "job digest sensitivity" `Quick
         test_batch_digest_sensitivity;
       Alcotest.test_case "mls job digest and certificate" `Quick test_mls_job_pinned;
+      key_property "two";
+      key_property "mls";
+      Alcotest.test_case "shared cache answers as fresh runs" `Quick
+        test_shared_cache_differential;
       Alcotest.test_case "batch multi-analysis + jsonl" `Quick
         test_batch_multi_analysis_jsonl;
     ] )

@@ -945,6 +945,24 @@ let test_version_gate_exhaustive () =
       (mask baseline)
       (mask (handle (check_req v)))
   done;
+  (* At every version the hit's digest is the job key of the spec the
+     server builds: lattice two, binding from the declarations, cfm. *)
+  let key =
+    let two = Option.get (Ifc_lattice.Builtin.find "two") in
+    let p = Result.get_ok (Parser.parse_program quick_program) in
+    Job.digest
+      (Job.make ~id:0 ~name:"" ~lattice:two
+         ~binding:(Result.get_ok (Binding.of_program two p))
+         ~analyses:[ Job.Cfm ] p)
+  in
+  for v = 1 to 5 do
+    check_str
+      (Printf.sprintf "check v%d digest is the job key" v)
+      key
+      (match Jsonx.parse (handle (check_req v)) with
+      | Ok json -> Option.value (Jsonx.mem_string "digest" json) ~default:"-"
+      | Error e -> e)
+  done;
   (* cert: gated at version 2, refusal message verbatim. *)
   let cert_req v =
     Printf.sprintf {|{"v": %d, "op": "cert", "program": %s}|} v

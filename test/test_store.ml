@@ -336,6 +336,39 @@ let test_gc_quarantines_unparseable () =
       check_int "nothing left to quarantine" 0 second.Store.quarantined;
       check_int "nothing live" 0 second.Store.live)
 
+(* Entries written under the previous job key sit in the previous entry
+   format, so they retire with it: a correctly sealed version-1 entry
+   under a valid name is never preloaded or found, and gc and verify move
+   it aside rather than keep it live forever. *)
+let test_retired_entry_format () =
+  let v1_entry digest =
+    let body =
+      Printf.sprintf
+        "ifc-store-entry 1\ndigest %s\ngeneration 1\nresults 1\nanalysis cfm\n\
+         verdict true\nchecks 3\nduration_ns 17\nartifact -\n"
+        digest
+    in
+    body ^ "checksum " ^ Digest.to_hex (Digest.string body) ^ "\n"
+  in
+  with_dir (fun dir ->
+      let st = open_exn dir in
+      let old = String.make 32 'e' and gone = String.make 32 'f' in
+      overwrite (dir // "objects" // old) (v1_entry old);
+      overwrite (dir // "objects" // gone) (v1_entry gone);
+      let cache = Cache.create ~capacity:8 () in
+      check_int "preload skips it" 0 (Store.preload st cache);
+      check "cache stays empty" false (Cache.mem cache old);
+      check "find misses it" true (Store.find st ~digest:old = None);
+      let report = Store.gc ~keep:4 st in
+      check_int "gc quarantines the other" 1 report.Store.quarantined;
+      check_int "nothing counted live" 0 report.Store.live;
+      check "both left objects/" false
+        (Sys.file_exists (dir // "objects" // old)
+        || Sys.file_exists (dir // "objects" // gone));
+      let st2 = open_exn dir in
+      overwrite (dir // "objects" // old) (v1_entry old);
+      check_int "verify quarantines it" 1 (Store.verify st2).Store.quarantined)
+
 let test_manifest_recovery () =
   with_dir (fun dir ->
       let st1 = open_exn dir in
@@ -456,6 +489,7 @@ let suite =
         test_gc_sweeps_cold_generations;
       Alcotest.test_case "gc quarantines what it cannot parse" `Quick
         test_gc_quarantines_unparseable;
+      Alcotest.test_case "retired entry format" `Quick test_retired_entry_format;
       Alcotest.test_case "manifest recovery" `Quick test_manifest_recovery;
       Alcotest.test_case "tier re-validates certificates" `Quick
         test_tier_revalidates_certificates;
