@@ -1262,12 +1262,14 @@ let modsys_bench ~sizes ~modules () =
 
 (* ------------------------------------------------------------------ *)
 (* CLASSES: security classes as printed names. The CLI, the daemon, fuzz
-   campaigns and certificates all run over [Lattice.stringify]d schemes,
-   so every class operation and every rendering of a job's lattice goes
-   through that representation. *)
+   campaigns and certificates all run over string schemes, built-in ones
+   by [Lattice.stringify] and parsed ones by [Lattice.make_from_order],
+   both a name-indexed order matrix with join and meet tables, so every
+   class operation and every rendering of a job's lattice goes through
+   that representation. *)
 
 let classes_bench ~programs () =
-  banner "CLASSES: operations on string classes (Lattice.stringify)";
+  banner "CLASSES: string classes (name-indexed order matrix, join and meet tables)";
   (* ns (median of 5 timed passes) and minor-heap words per call of [op]
      over every ordered pair of classes. *)
   let per_op (elts : string array) op =
@@ -1301,9 +1303,22 @@ let classes_bench ~programs () =
         metric_f "classes" (Printf.sprintf "%s_%s_words" name op_name) words
       in
       row "leq" (per_op elts l.Lattice.leq);
+      row "equal" (per_op elts l.Lattice.equal);
       row "join" (per_op elts l.Lattice.join);
       row "meet" (per_op elts l.Lattice.meet))
     lattices;
+  (* Filling the tables from the native scheme, paid once per build. *)
+  let builds = 20 in
+  let build_us =
+    1e6
+    *. time_one (fun () ->
+           for _ = 1 to builds do
+             ignore (Sys.opaque_identity (Lattice.stringify Mls.standard))
+           done)
+    /. float_of_int builds
+  in
+  Fmt.pr "Lattice.stringify mls: %.1f us per build@." build_us;
+  metric_f "classes" "mls_build_us" build_us;
   (* Rendering the lattice into a job's digest payload. *)
   let mls = List.assoc "mls" lattices in
   let renders = 50 in

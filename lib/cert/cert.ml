@@ -3,6 +3,7 @@
 
 module Lattice = Ifc_lattice.Lattice
 module Spec = Ifc_lattice.Spec
+module Builtin = Ifc_lattice.Builtin
 module Ast = Ifc_lang.Ast
 module Pretty = Ifc_lang.Pretty
 module Vars = Ifc_lang.Vars
@@ -110,7 +111,7 @@ let render_assertion lat (a : string Assertion.t) =
   "{" ^ String.concat "; " atoms ^ "}"
 
 let spec_lines lat =
-  String.split_on_char '\n' (Spec.to_text lat)
+  String.split_on_char '\n' (Builtin.to_text lat)
   |> List.map String.trim
   |> List.filter (fun l -> l <> "")
 

@@ -44,6 +44,3 @@ let four =
 let of_size n =
   if n <= 0 then invalid_arg "Chain.of_size: need at least one level";
   make ~name:(Printf.sprintf "chain-%d" n) (List.init n (Printf.sprintf "L%d"))
-
-let level (chain : int Lattice.t) i =
-  if i < 0 || i > chain.top then invalid_arg "Chain.level: out of range" else i

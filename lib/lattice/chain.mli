@@ -21,6 +21,3 @@ val four : int Lattice.t
 val of_size : int -> int Lattice.t
 (** [of_size n] is an [n]-level chain with levels named [L0 .. L(n-1)].
     Used by benchmarks to scale lattice height independently of shape. *)
-
-val level : int Lattice.t -> int -> int
-(** [level chain i] is the element at index [i], checked against bounds. *)

@@ -15,15 +15,9 @@ type 'a t = {
   of_string : string -> ('a, string) result;
 }
 
-let pp l ppf x = Fmt.string ppf (l.to_string x)
-
-let mem l x = List.exists (l.equal x) l.elements
-
 let joins l xs = List.fold_left l.join l.bottom xs
 
 let meets l xs = List.fold_left l.meet l.top xs
-
-let lt l x y = l.leq x y && not (l.equal x y)
 
 let comparable l x y = l.leq x y || l.leq y x
 
@@ -63,8 +57,6 @@ let height l =
   in
   depth l.bottom
 
-let rename name l = { l with name }
-
 let to_dot l =
   let buf = Buffer.create 256 in
   let quote s = "\"" ^ String.concat "\\\"" (String.split_on_char '"' s) ^ "\"" in
@@ -91,13 +83,11 @@ let dual ?name l =
     top = l.bottom;
   }
 
-(* The lookups behind [stringify] are top-level functions over explicit
-   arrays, so an operation allocates no closure. [name_index] scans for a
-   shared name first (pointer equality), then for another string with the
-   same bytes; -1 when no element has that name. Every name a stringified
-   scheme hands out is shared, so the pointer pass is the common case; a
-   single [String.equal] scan (a C call per element) made [leq] on [mls]
-   about twice as slow. *)
+(* A name's index in [names]: a scan for the shared string first (pointer
+   equality), then for another string with the same bytes; -1 when no
+   element has that name. Every name a scheme hands out is shared, so the
+   pointer pass is the common case; a single [String.equal] scan (a C call
+   per element) made [leq] on [mls] about twice as slow. *)
 let name_index names s =
   let n = Array.length names in
   let i = ref 0 in
@@ -109,86 +99,111 @@ let name_index names s =
     if !i < n then !i else -1
   end
 
-(* Binary search of [x] among [natives] visited in [order], which sorts
-   them by [compare]; the index into [natives], or -1. *)
-let native_index compare natives order x =
-  let lo = ref 0 and hi = ref (Array.length order) and found = ref (-1) in
-  while !found < 0 && !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    let c = compare x natives.(order.(mid)) in
-    if c = 0 then found := order.(mid) else if c < 0 then hi := mid else lo := mid + 1
-  done;
-  !found
-
-let stringify l =
-  let natives = Array.of_list l.elements in
-  let names = Array.map l.to_string natives in
-  let order = Array.init (Array.length natives) Fun.id in
-  Array.stable_sort (fun i j -> l.compare natives.(i) natives.(j)) order;
-  let slot x =
-    match native_index l.compare natives order x with
-    | -1 ->
-      invalid_arg
-        (Printf.sprintf "Lattice.stringify: %s: %s is not an element" l.name
-           (l.to_string x))
-    | i -> i
-  in
+(* The one representation of string classes: canonical [names], the
+   order matrix [le] and the [lub] and [glb] tables, all indexed by
+   position in [names], so every operation is a name lookup and a table
+   read. A scheme's source supplies the tables and, optionally, [parse],
+   which resolves a name that is not canonical to an index. Without it a
+   scheme knows its canonical names only, and any other is a stranger,
+   below and equal to nothing. With it (only [stringify] supplies one), a
+   name [parse] rejects makes [leq], [join] and [meet] raise. *)
+let of_tables ~name ~names ~le ~lub ~glb ~bottom ~top ?parse () =
   let find s =
     match name_index names s with
     | -1 -> (
-      match l.of_string s with
-      | Ok x -> slot x
-      | Error msg -> invalid_arg ("Lattice.stringify: " ^ msg))
+      match parse with
+      | None -> -1
+      | Some parse -> (
+        match parse s with
+        | Ok i -> i
+        | Error msg -> invalid_arg ("Lattice.stringify: " ^ msg)))
     | i -> i
   in
-  (* Comparable operands are the common case; their join or meet is one
-     of them, so the native operation and its search are skipped. *)
-  let join a b =
-    let i = find a in
-    let j = find b in
-    let x = natives.(i) and y = natives.(j) in
-    if l.leq x y then names.(j)
-    else if l.leq y x then names.(i)
-    else names.(slot (l.join x y))
+  let leq a b =
+    let i = find a and j = find b in
+    i >= 0 && j >= 0 && le.(i).(j)
   in
-  let meet a b =
-    let i = find a in
-    let j = find b in
-    let x = natives.(i) and y = natives.(j) in
-    if l.leq x y then names.(i)
-    else if l.leq y x then names.(j)
-    else names.(slot (l.meet x y))
+  (* [equal] never raises: a rejected name equals nothing. *)
+  let rank s = try find s with Invalid_argument _ -> -1 in
+  let equal a b =
+    let i = rank a and j = rank b in
+    i >= 0 && j >= 0 && le.(i).(j) && le.(j).(i)
+  in
+  let op table a b =
+    let i = find a and j = find b in
+    if i < 0 || j < 0 then invalid_arg (name ^ ": element not in lattice")
+    else names.(table.(i).(j))
+  in
+  let of_string s =
+    match (name_index names s, parse) with
+    | -1, None -> Error (Printf.sprintf "%s: unknown class %S" name s)
+    | -1, Some parse -> Result.map (Array.get names) (parse s)
+    | i, _ -> Ok names.(i)
   in
   {
-    name = l.name;
+    name;
     elements = Array.to_list names;
-    equal = String.equal;
+    equal;
     compare = String.compare;
-    leq = (fun a b -> l.leq natives.(find a) natives.(find b));
-    join;
-    meet;
-    bottom = names.(slot l.bottom);
-    top = names.(slot l.top);
+    leq;
+    join = op lub;
+    meet = op glb;
+    bottom = names.(bottom);
+    top = names.(top);
     to_string = Fun.id;
-    of_string =
-      (fun s ->
-        match name_index names s with
-        | -1 -> Result.map (fun x -> names.(slot x)) (l.of_string s)
-        | i -> Ok names.(i));
+    of_string;
   }
 
+(* The native scheme fills the tables once, and no operation on a
+   canonical name calls into it again. Another spelling of a class goes
+   through the native parser and back to the parsed element's index. *)
+let stringify l =
+  let natives = Array.of_list l.elements in
+  let n = Array.length natives in
+  let names = Array.map l.to_string natives in
+  let index x =
+    let rec go k =
+      if k = n then
+        invalid_arg
+          (Printf.sprintf "Lattice.stringify: %s: %s is not an element" l.name
+             (l.to_string x))
+      else if l.equal natives.(k) x then k
+      else go (k + 1)
+    in
+    go 0
+  in
+  let le = Array.init n (fun i -> Array.init n (fun j -> l.leq natives.(i) natives.(j))) in
+  let ge = Array.init n (fun i -> Array.init n (fun j -> le.(j).(i))) in
+  (* [op] bounds its operands from above under [m] ([le] for join, [ge]
+     for meet): a comparable pair's bound is one of the pair, and any
+     other pair's is searched for among the pair's common bounds. *)
+  let table op m =
+    Array.init n (fun i ->
+        Array.init n (fun j ->
+            if m.(i).(j) then j
+            else if m.(j).(i) then i
+            else
+              let x = op natives.(i) natives.(j) in
+              let rec among k =
+                if k = n then index x
+                else if m.(i).(k) && m.(j).(k) && l.equal natives.(k) x then k
+                else among (k + 1)
+              in
+              among 0))
+  in
+  of_tables ~name:l.name ~names ~le ~lub:(table l.join le) ~glb:(table l.meet ge)
+    ~bottom:(index l.bottom) ~top:(index l.top)
+    ~parse:(fun s -> Result.map index (l.of_string s))
+    ()
+
 (* Build a lattice from an explicit order. One [leq] query per ordered
-   pair fills an n×n order matrix; the law checks, the bound searches and
-   every operation afterwards read only that matrix and the join and meet
-   tables. As in [stringify], an operand is found by its printed name
-   (pointer, then bytes), so with [to_string = Fun.id] an operation
-   allocates nothing. *)
-let make_from_order ~name ~elements ~leq ~to_string =
+   pair fills an n×n order matrix; the law checks and the bound searches
+   that fill the join and meet tables read only that matrix. *)
+let make_from_order ~name ~elements ~leq =
   let ( let* ) = Result.bind in
-  let arr = Array.of_list elements in
-  let n = Array.length arr in
-  let names = Array.map to_string arr in
-  let le = Array.init n (fun i -> Array.init n (fun j -> leq arr.(i) arr.(j))) in
+  let names = Array.of_list elements in
+  let n = Array.length names in
+  let le = Array.init n (fun i -> Array.init n (fun j -> leq names.(i) names.(j))) in
   let ge = Array.init n (fun i -> Array.init n (fun j -> le.(j).(i))) in
   (* The least of [i]'s and [j]'s upper bounds under the order matrix [m]
      ([ge] gives lower bounds): the first bound, in element order, below
@@ -226,7 +241,7 @@ let make_from_order ~name ~elements ~leq ~to_string =
   let extremum m what =
     let rec go i =
       if i >= n then Error (Printf.sprintf "%s: no %s element" name what)
-      else if Array.for_all Fun.id m.(i) then Ok arr.(i)
+      else if Array.for_all Fun.id m.(i) then Ok i
       else go (i + 1)
     in
     go 0
@@ -256,41 +271,8 @@ let make_from_order ~name ~elements ~leq ~to_string =
     if List.length sorted = n then Ok ()
     else Error (name ^ ": duplicate element names")
   in
-  let* join_table = table ~what:"least upper bound" le in
-  let* meet_table = table ~what:"greatest lower bound" ge in
+  let* lub = table ~what:"least upper bound" le in
+  let* glb = table ~what:"greatest lower bound" ge in
   let* bottom = extremum le "minimum" in
   let* top = extremum ge "maximum" in
-  let find x = name_index names (to_string x) in
-  let op table x y =
-    let i = find x and j = find y in
-    if i < 0 || j < 0 then invalid_arg (name ^ ": element not in lattice")
-    else arr.(table.(i).(j))
-  in
-  let leq x y =
-    let i = find x and j = find y in
-    i >= 0 && j >= 0 && le.(i).(j)
-  in
-  let equal x y =
-    let i = find x and j = find y in
-    i >= 0 && j >= 0 && le.(i).(j) && le.(j).(i)
-  in
-  let of_string s =
-    match name_index names s with
-    | -1 -> Error (Printf.sprintf "%s: unknown class %S" name s)
-    | i -> Ok arr.(i)
-  in
-  let compare x y = String.compare (to_string x) (to_string y) in
-  Ok
-    {
-      name;
-      elements;
-      equal;
-      compare;
-      leq;
-      join = op join_table;
-      meet = op meet_table;
-      bottom;
-      top;
-      to_string;
-      of_string;
-    }
+  Ok (of_tables ~name ~names ~le ~lub ~glb ~bottom ~top ())

@@ -21,12 +21,6 @@ type 'a t = {
   of_string : string -> ('a, string) result;
 }
 
-val pp : 'a t -> Format.formatter -> 'a -> unit
-(** [pp l] is a pretty-printer for elements of [l]. *)
-
-val mem : 'a t -> 'a -> bool
-(** [mem l x] is true iff [x] is an element of [l]. *)
-
 val joins : 'a t -> 'a list -> 'a
 (** [joins l xs] is the least upper bound of [xs] ([l.bottom] when empty). *)
 
@@ -35,9 +29,6 @@ val meets : 'a t -> 'a list -> 'a
     This convention — the meet of no constraints is the most permissive
     class — is exactly what [mod] of a statement that modifies nothing
     requires. *)
-
-val lt : 'a t -> 'a -> 'a -> bool
-(** [lt l x y] is strict ordering: [leq x y] and not [equal x y]. *)
 
 val comparable : 'a t -> 'a -> 'a -> bool
 (** [comparable l x y] is true iff [x <= y] or [y <= x]. *)
@@ -55,36 +46,6 @@ val covers : 'a t -> ('a * 'a) list
 val height : 'a t -> int
 (** [height l] is the length of the longest chain minus one. *)
 
-val make_from_order :
-  name:string ->
-  elements:'a list ->
-  leq:('a -> 'a -> bool) ->
-  to_string:('a -> string) ->
-  ('a t, string) result
-(** [make_from_order ~name ~elements ~leq ~to_string] builds a lattice from
-    a finite set and its partial order. Returns [Error _] when the carrier
-    is empty, the order is not reflexive or transitive, two elements print
-    alike, or some pair lacks a least upper or greatest lower bound.
-    {!Spec.parse} builds every parsed scheme, and so every certificate's
-    scheme, through this function.
-
-    Construction makes n{^2} [leq] queries to fill an n×n order matrix,
-    then checks the laws and fills n×n join and meet tables from the
-    matrix alone: O(n{^3}) array reads, O(n{^2}) words.
-
-    Elements are identified by their printed names, as in {!stringify}:
-    an operand is found by a linear scan of the names, by pointer and then
-    by content, and [leq], [equal], [join] and [meet] are then matrix or
-    table reads. With [to_string = Fun.id] no operation allocates. [equal]
-    is [leq] both ways; [of_string] accepts exactly the printed names.
-    An operand that names no element is below and equal to nothing, and
-    [join] and [meet] raise [Invalid_argument] on it. The value is never
-    mutated after it is built, so it may be shared across threads and
-    domains. *)
-
-val rename : string -> 'a t -> 'a t
-(** [rename name l] is [l] with its [name] replaced. *)
-
 val to_dot : 'a t -> string
 (** [to_dot l] renders the Hasse diagram (covering edges, bottom at the
     bottom) as a Graphviz digraph — pipe through [dot -Tsvg] to see the
@@ -97,29 +58,63 @@ val dual : ?name:string -> 'a t -> 'a t
     *integrity*, so running CFM over [dual l] certifies integrity with no
     other change. *)
 
+(** {1 String classes}
+
+    The CLI, the daemon, job digests, fuzz campaigns and certificates all
+    represent a class by its printed name. Both sources of such a scheme,
+    {!make_from_order} and {!stringify}, build the same value: the
+    canonical names, an n×n order matrix and n×n join and meet tables,
+    all indexed by a name's position.
+
+    An operand is found by a linear scan of the names, by pointer and
+    then by content; [leq], [equal], [join] and [meet] are then matrix or
+    table reads, and on canonical names none of them allocates. [equal]
+    is [leq] both ways, and [compare] is [String.compare]. Every name the value hands out —
+    [elements], [bottom], [top], and the results of [join], [meet] and
+    [of_string] — is one of the n shared strings. The value is never
+    mutated after it is built, so it may be shared across threads and
+    domains.
+
+    The sources differ only in how a name that is not canonical
+    resolves, as each function says. Whatever the source, [equal] answers
+    [false] on such a name unless it resolves, and never raises. *)
+
+val make_from_order :
+  name:string ->
+  elements:string list ->
+  leq:(string -> string -> bool) ->
+  (string t, string) result
+(** [make_from_order ~name ~elements ~leq] builds a lattice from a finite
+    set of names and its partial order. Returns [Error _] when the carrier
+    is empty, the order is not reflexive or transitive, two elements have
+    the same name, or some pair lacks a least upper or greatest lower
+    bound. {!Spec.parse} builds every parsed scheme, and so every
+    certificate's scheme, through this function.
+
+    Construction makes n{^2} [leq] queries to fill the order matrix, then
+    checks the laws and fills the join and meet tables from the matrix
+    alone: O(n{^3}) array reads, O(n{^2}) words.
+
+    Only exact names resolve: [of_string] accepts exactly the names in
+    [elements], and any other name is below and equal to nothing, and
+    [join] and [meet] raise [Invalid_argument] on it. *)
+
 val stringify : 'a t -> string t
-(** [stringify l] is the same scheme with elements represented by their
-    printed names — the uniform representation of the CLI, the daemon,
-    job digests, fuzz campaigns and certificates, so its operations run in
-    CFM's inner loop.
+(** [stringify l] is the same scheme with classes represented by their
+    printed names.
 
-    Each printed name indexes a native element. Building the value prints
-    every element once and sorts the elements by [l.compare]: O(|C| log |C|)
-    [compare] calls, with no join or meet table. Afterwards every name the
-    value hands out — [elements], [bottom], [top], and the results of
-    [join], [meet] and [of_string] — is one of |C| shared strings.
+    Building the value prints every element once and fills the order
+    matrix with n{^2} [l.leq] queries. The join and meet tables are
+    filled from [l.join] and [l.meet], which run only on incomparable
+    pairs (a comparable pair's bound is one of the pair); each result is
+    located by [l.equal] among the pair's common bounds. That is paid
+    once, 0.13–0.25 ms on [mls] (32 classes), and {!Builtin} builds its
+    schemes once, at initialisation. Afterwards no operation on a
+    canonical name calls into [l].
 
-    Cost of an operation: each operand is found by a linear scan of the
-    names, first by pointer and then by content (O(|C|); |C| ≤ 32 for the
-    built-in schemes, see {!Builtin}), then the native operation runs.
-    When one operand of [join] or [meet] lies below the other, the result
-    is that operand's name; otherwise the native result is found by binary
-    search in [l.compare] order. So [leq] allocates nothing, and [join]
-    and [meet] allocate only what the native operation does. Only an
-    operand that is not a canonical name (["secret:{EUR,NUC}"] for
-    ["secret:{NUC,EUR}"]) is parsed with [l.of_string].
-
-    The value is never mutated after it is built, so it may be shared
-    across threads and domains. [l] must satisfy the lattice laws and
-    [l.compare] must agree with [l.equal]; [leq], [join] and [meet] raise
-    [Invalid_argument] on a name [l.of_string] rejects. *)
+    A name that is not canonical (["secret:{EUR,NUC}"] for
+    ["secret:{NUC,EUR}"]) is parsed with [l.of_string] and resolves to
+    the parsed class's name. [of_string] returns [l.of_string]'s message
+    for a name it rejects, and [leq], [join] and [meet] raise
+    [Invalid_argument] on one. [l] must satisfy the lattice laws and
+    print distinct elements distinctly. *)

@@ -131,7 +131,7 @@ let parse text =
             Error (Printf.sprintf "%s: order cycle between %s and %s" name a b)
           | None ->
             let leq a b = m.(Hashtbl.find index a).(Hashtbl.find index b) in
-            Lattice.make_from_order ~name ~elements ~leq ~to_string:Fun.id))
+            Lattice.make_from_order ~name ~elements ~leq))
 
 let parse_file path =
   match In_channel.with_open_text path In_channel.input_all with

@@ -13,6 +13,7 @@
 type 'v node = {
   key : string;
   mutable value : 'v;
+  mutable used : bool;  (* hit, or added by a caller other than a warm start *)
   mutable prev : 'v node option;  (* towards most-recent *)
   mutable next : 'v node option;  (* towards least-recent *)
 }
@@ -89,6 +90,7 @@ let find t key =
       match Hashtbl.find_opt s.table key with
       | Some node ->
         s.hits <- s.hits + 1;
+        node.used <- true;
         unlink s node;
         push_front s node;
         Some node.value
@@ -96,16 +98,17 @@ let find t key =
         s.misses <- s.misses + 1;
         None)
 
-let add t key value =
+let add ?(used = true) t key value =
   let s = stripe_of t key in
   with_lock s (fun () ->
       match Hashtbl.find_opt s.table key with
       | Some node ->
         node.value <- value;
+        node.used <- node.used || used;
         unlink s node;
         push_front s node
       | None ->
-        let node = { key; value; prev = None; next = None } in
+        let node = { key; value; used; prev = None; next = None } in
         Hashtbl.add s.table key node;
         push_front s node;
         if Hashtbl.length s.table > s.capacity then evict_lru s)
@@ -127,7 +130,7 @@ let remove t key =
         s.invalidations <- s.invalidations + 1;
         true)
 
-(* Folds over live entries, stripe by stripe, each stripe in recency
+(* Folds over live used entries, stripe by stripe, each stripe in recency
    order (most recently used first) — recency- and counter-neutral, so
    exporting the cache (say, into a persistent store) never perturbs
    what it is exporting. With several stripes the concatenation is only
@@ -140,6 +143,7 @@ let fold t f init =
       with_lock s (fun () ->
           let rec go acc = function
             | None -> acc
+            | Some node when not node.used -> go acc node.next
             | Some node -> go (f acc node.key node.value) node.next
           in
           go acc s.head))

@@ -28,9 +28,14 @@ val shards : 'v t -> int
 val find : 'v t -> string -> 'v option
 (** Bumps the entry to most-recent on hit; counts a hit or a miss. *)
 
-val add : 'v t -> string -> 'v -> unit
+val add : ?used:bool -> 'v t -> string -> 'v -> unit
 (** Inserts or refreshes; evicts the least-recently-used entry when the
-    cache is over capacity. Neither counts a hit nor a miss. *)
+    cache is over capacity. Neither counts a hit nor a miss.
+
+    An entry is {e used} once an [add] with [~used:true] (the default)
+    inserts or refreshes it, or a {!find} hits it. A warm start inserts
+    with [~used:false], so an entry it loads stays unused until a
+    request hits it (see {!fold}). *)
 
 val mem : 'v t -> string -> bool
 (** Recency- and counter-neutral membership test. *)
@@ -41,14 +46,14 @@ val remove : 'v t -> string -> bool
     two causes of entry loss stay distinguishable in {!stats}. *)
 
 val fold : 'v t -> ('a -> string -> 'v -> 'a) -> 'a -> 'a
-(** [fold t f init] folds [f] over every live entry, stripe by stripe,
-    each stripe in recency order (most recently used first) — so with
-    one stripe this is exact global recency, and with several it is the
-    concatenation of per-stripe recency orders. Recency- and
-    counter-neutral, so a cache can be exported (e.g. persisted to a
-    disk store) without perturbing what is being exported. Runs under
-    each stripe's lock in turn: [f] must not call back into the
-    cache. *)
+(** [fold t f init] folds [f] over every live entry that is used (see
+    {!add}), stripe by stripe, each stripe in recency order (most
+    recently used first) — so with one stripe this is exact global
+    recency, and with several it is the concatenation of per-stripe
+    recency orders. Recency- and counter-neutral, so a cache can be
+    exported (e.g. persisted to a disk store) without perturbing what is
+    being exported. Runs under each stripe's lock in turn: [f] must not
+    call back into the cache. *)
 
 type stats = {
   hits : int;

@@ -34,8 +34,9 @@ type t = {
       (** Warm-start: load the hottest stored entries into the memory
           cache (up to its capacity), returning how many were loaded. *)
   record_heat : Job.analysis_result list Cache.t -> unit;
-      (** Persist the memory cache's recency ranking (via {!Cache.fold})
-          so the {e next} {!preload} resurrects today's hot set. *)
+      (** Persist which cached entries this session used (via
+          {!Cache.fold}) so the {e next} {!preload} resurrects today's
+          hot set. *)
   stats : unit -> stats;
 }
 

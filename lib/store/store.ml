@@ -408,13 +408,18 @@ let preload t cache =
       in
       let chosen = Ifc_support.Listx.take capacity hot in
       (* Coldest-first insertion leaves the last-added — arbitrary within
-         one generation — most recent; every chosen entry ends resident. *)
-      List.iter (fun (digest, _, results) -> Cache.add cache digest results)
+         one generation — most recent; every chosen entry ends resident,
+         unused until a request hits it. *)
+      List.iter
+        (fun (digest, _, results) -> Cache.add ~used:false cache digest results)
         (List.rev chosen);
       let n = List.length chosen in
       t.preloaded <- t.preloaded + n;
       n)
 
+(* Only entries this session used are re-stamped: those it computed or
+   promoted, and those that served a hit. A preloaded entry nothing hit
+   keeps its stamp, so it ages out like any other. *)
 let record_heat t cache =
   let digests = List.rev (Cache.fold cache (fun acc k _ -> k :: acc) []) in
   with_lock t (fun () ->

@@ -26,7 +26,7 @@
     bumped every time the store is opened for writing. Entries are
     stamped with the generation current when they were written, and are
     re-stamped on a read hit and by {!record_heat}, so an entry's stamp
-    is the last generation that cared about it. {!preload} loads the
+    is the last generation that used it. {!preload} loads the
     highest-stamped entries — the previous session's hot set — into the
     memory cache at boot, and {!gc} sweeps entries whose stamp has
     fallen out of the keep window.
@@ -96,12 +96,15 @@ val add_summary : t -> digest:string -> string -> unit
 val preload : t -> Job.analysis_result list Cache.t -> int
 (** Load the hottest generation — every entry carrying the highest stamp
     on disk, up to the cache's capacity — into the memory cache, coldest
-    first so the hottest end up most recent. Returns the number loaded. *)
+    first so the hottest end up most recent, and unused
+    ({!Cache.add}[ ~used:false]). Returns the number loaded. *)
 
 val record_heat : t -> Job.analysis_result list Cache.t -> unit
-(** Re-stamp every store entry still live in the memory cache to the
-    current generation, so the next {!preload} resurrects this session's
-    final hot set. *)
+(** Re-stamp every store entry this session used that is still live in
+    the memory cache ({!Cache.fold}) to the current generation, so the
+    next {!preload} resurrects this session's final hot set. A preloaded
+    entry that served no hit keeps its stamp and ages out of {!gc}'s
+    window like any other. *)
 
 (** {1 Maintenance} *)
 

@@ -282,6 +282,35 @@ let test_builtin_table () =
     (Option.get (Ifc_lattice.Builtin.find "two") == Ifc_lattice.Builtin.two);
   check "unknown name" true (Option.is_none (Ifc_lattice.Builtin.find "five"))
 
+(* A class operation on a built-in scheme is a name lookup and a table
+   read: over every ordered pair of classes, leq, equal, join and meet
+   allocate nothing. The bound leaves room for the reading of the
+   counter itself. *)
+let test_builtin_ops_allocate_nothing () =
+  List.iter
+    (fun name ->
+      let l = Option.get (Ifc_lattice.Builtin.find name) in
+      let elts = Array.of_list l.elements in
+      let n = Array.length elts in
+      List.iter
+        (fun (op, f) ->
+          let w0 = Gc.minor_words () in
+          for i = 0 to n - 1 do
+            for j = 0 to n - 1 do
+              f elts.(i) elts.(j)
+            done
+          done;
+          let words = Gc.minor_words () -. w0 in
+          if words > 16. then
+            Alcotest.failf "%s %s: %.0f minor words over %d pairs" name op words (n * n))
+        [
+          ("leq", fun x y -> ignore (Sys.opaque_identity (l.leq x y)));
+          ("equal", fun x y -> ignore (Sys.opaque_identity (l.equal x y)));
+          ("join", fun x y -> ignore (Sys.opaque_identity (l.join x y)));
+          ("meet", fun x y -> ignore (Sys.opaque_identity (l.meet x y)));
+        ])
+    [ "two"; "three"; "four"; "mls" ]
+
 (* ------------------------------------------------------------------ *)
 (* Laws *)
 
@@ -455,7 +484,7 @@ let test_spec_error_messages () =
   List.iter
     (fun (what, leq, expected) ->
       check_string what expected
-        (message (Lattice.make_from_order ~name:"m" ~elements ~leq ~to_string:Fun.id)))
+        (message (Lattice.make_from_order ~name:"m" ~elements ~leq)))
     [
       ("irreflexive", (fun x y -> x < y), "m: order is not reflexive");
       ("preorder", (fun _ _ -> true), "accepted");
@@ -463,11 +492,10 @@ let test_spec_error_messages () =
   check_string "not transitive" "m: order is not transitive"
     (message
        (Lattice.make_from_order ~name:"m" ~elements:[ "a"; "b"; "c" ]
-          ~leq:(fun x y -> x = y || (x, y) = ("a", "b") || (x, y) = ("b", "c"))
-          ~to_string:Fun.id));
+          ~leq:(fun x y -> x = y || (x, y) = ("a", "b") || (x, y) = ("b", "c"))));
   check_string "empty carrier" "m: empty carrier"
     (message
-       (Lattice.make_from_order ~name:"m" ~elements:[] ~leq:( = ) ~to_string:Fun.id))
+       (Lattice.make_from_order ~name:"m" ~elements:[] ~leq:( = )))
 
 let test_spec_single_element () =
   match Spec.parse "lattice one\nelements: only" with
@@ -529,7 +557,7 @@ let test_make_from_order_rejects_nonlattice () =
   in
   check "rejected" true
     (Result.is_error
-       (Lattice.make_from_order ~name:"m2" ~elements ~leq ~to_string:Fun.id))
+       (Lattice.make_from_order ~name:"m2" ~elements ~leq))
 
 (* ------------------------------------------------------------------ *)
 (* Property-based: random elements obey the algebra on larger schemes. *)
@@ -589,5 +617,7 @@ let suite =
       Alcotest.test_case "mls spec text pinned" `Quick test_mls_text_pinned;
       Alcotest.test_case "built-in spec texts" `Quick test_builtin_text;
       Alcotest.test_case "builtin table" `Quick test_builtin_table;
+      Alcotest.test_case "builtin operations allocate nothing" `Quick
+        test_builtin_ops_allocate_nothing;
     ]
     @ stringify_agreement @ law_cases @ qcheck_lattice_props )

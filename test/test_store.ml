@@ -54,8 +54,8 @@ let random_binding rng lat stmt =
        (fun v -> (v, arr.(Prng.int rng (Array.length arr))))
        (Sset.elements (Ifc_lang.Vars.all_vars stmt)))
 
-let corpus ?(analyses = [ Job.Cfm ]) n =
-  let rng = Prng.create 19790101 in
+let corpus ?(analyses = [ Job.Cfm ]) ?(seed = 19790101) n =
+  let rng = Prng.create seed in
   List.init n (fun i ->
       let p = Gen.program rng Gen.default ~size:(1 + (i mod 20)) in
       let b = random_binding rng two p.Ast.body in
@@ -291,6 +291,28 @@ let test_record_heat_resurrects_hot_set () =
       check "it is the one session 2 kept" true
         (Cache.mem cache3 (String.make 32 '0')))
 
+(* A preload that no request hits is not use: entries of an older
+   corpus, preloaded into every session over a newer one and never hit,
+   keep their stamp and age out. One seed-7 batch, then three seed-8
+   batches, each a fresh process that preloads the hottest generation,
+   then gc keeping one generation. *)
+let test_record_heat_skips_unhit_preloads () =
+  with_dir (fun dir ->
+      let session seed =
+        let tier = Store.tier (open_exn dir) in
+        let cache = Cache.create ~capacity:64 () in
+        let preloaded = tier.Ifc_pipeline.Tier.preload cache in
+        ignore (Batch.run ~cache ~store:tier (corpus ~seed 8));
+        preloaded
+      in
+      check_int "cold session preloads nothing" 0 (session 7);
+      check_int "first seed-8 session preloads the seed-7 set" 8 (session 8);
+      check_int "later sessions preload only the seed-8 set" 8 (session 8);
+      check_int "and again" 8 (session 8);
+      let report = Store.gc ~keep:1 (open_exn ~bump:false dir) in
+      check_int "seed-8 entries live" 8 report.Store.live;
+      check_int "never-hit seed-7 entries swept" 8 report.Store.swept)
+
 let test_gc_sweeps_cold_generations () =
   with_dir (fun dir ->
       let st1 = open_exn dir in
@@ -485,6 +507,8 @@ let suite =
         test_preload_hottest_generation;
       Alcotest.test_case "record_heat resurrects hot set" `Quick
         test_record_heat_resurrects_hot_set;
+      Alcotest.test_case "record_heat skips unhit preloads" `Quick
+        test_record_heat_skips_unhit_preloads;
       Alcotest.test_case "gc sweeps cold generations" `Quick
         test_gc_sweeps_cold_generations;
       Alcotest.test_case "gc quarantines what it cannot parse" `Quick
